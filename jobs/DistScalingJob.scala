@@ -11,7 +11,8 @@ object DistScalingJob {
     val scale = if (args.length > 0) args(0).toDouble else 0.5
     val qs    = if (args.length > 1) args(1).split(",").map(_.toInt).toSeq else Seq(1, 2, 4, 8)
     val psiTh = if (args.length > 2) args(2).toDouble else 100.0
-    val spark = SparkSession.builder.appName("dist-scaling").getOrCreate()
+    val spark = SparkSession.builder().appName("dist-scaling")
+      .master(sys.props.getOrElse("spark.master", "local[*]")).getOrCreate()
     try {
       println(s"== Distributed scaling (scale=$scale qs=${qs.mkString(",")}) ==")
       val rows = Datasets.scalingSubset.map(n =>

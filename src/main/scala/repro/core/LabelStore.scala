@@ -129,16 +129,19 @@ object LabelView {
   * self-label, terminating the scan with "not redundant").
   */
 object Cleaning {
+  /** Checks the first `lenV` / `lenH` entries of each list, so growable
+    * buffers are checked in place.
+    */
   def isRedundant(
       rank: Ranking,
       h: Int,
       delta: Long,
-      hubsV: Array[Int], distsV: Array[Long],
-      hubsH: Array[Int], distsH: Array[Long],
+      hubsV: Array[Int], distsV: Array[Long], lenV: Int,
+      hubsH: Array[Int], distsH: Array[Long], lenH: Int,
   ): Boolean = {
     val rh = rank(h)
     var i = 0; var j = 0
-    while (i < hubsV.length && j < hubsH.length) {
+    while (i < lenV && j < lenH) {
       val ri = rank(hubsV(i)); val rj = rank(hubsH(j))
       if (ri == rj) {
         if (distsV(i) + distsH(j) <= delta) return ri > rh

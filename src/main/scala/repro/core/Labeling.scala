@@ -74,14 +74,23 @@ object Labeling {
   /** Build from triples, sorting each vertex's labels by hub rank descending. */
   def fromTriples(n: Int, rank: Ranking, ts: IterableOnce[LabelTriple]): Labeling = {
     val all = ts.iterator.toArray
+    fromColumns(n, rank, all.map(_.v), all.map(_.h), all.map(_.d))
+  }
+
+  /** Build from parallel label columns `(vs(i), hs(i), ds(i))`, sorting each
+    * vertex's labels by hub rank descending.
+    */
+  def fromColumns(n: Int, rank: Ranking, vs: Array[Int], hs: Array[Int], ds: Array[Long]): Labeling = {
     val counts = new Array[Int](n)
-    all.foreach(t => counts(t.v) += 1)
+    vs.foreach(v => counts(v) += 1)
     val hubs  = Array.tabulate(n)(v => new Array[Int](counts(v)))
     val dists = Array.tabulate(n)(v => new Array[Long](counts(v)))
     val fill  = new Array[Int](n)
-    all.foreach { t =>
-      val i = fill(t.v); fill(t.v) = i + 1
-      hubs(t.v)(i) = t.h; dists(t.v)(i) = t.d
+    var k = 0
+    while (k < vs.length) {
+      val v = vs(k); val i = fill(v); fill(v) = i + 1
+      hubs(v)(i) = hs(k); dists(v)(i) = ds(k)
+      k += 1
     }
     var v = 0
     while (v < n) { sortByRankDesc(rank, hubs(v), dists(v)); v += 1 }

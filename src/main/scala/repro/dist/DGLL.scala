@@ -1,6 +1,7 @@
 package repro.dist
 
 import scala.collection.mutable
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.graph.{CsrGraph, Ranking}
@@ -34,26 +35,13 @@ object DGLL {
     val sc  = spark.sparkContext
     val t0  = System.nanoTime()
     val acc = new SimCluster.StatsAccum
+    val bcGraph = sc.broadcast(g)
+    val bcRank  = sc.broadcast(rank)
     val owned = runSupersteps(
-      spark, g, rank, q, beta, rankQueries, clean,
+      spark, bcGraph, bcRank, q, beta, rankQueries, clean,
       hc = null, startPos = 0, priorOwned = SimCluster.emptyLabels(sc, q), acc)
-    val perNodeStored = SimCluster.perNodeLabelCounts(owned)
-    val triples       = owned.map(_._2).collect()
-    owned.unpersist(blocking = false)
-    val labeling = Labeling.fromTriples(g.n, rank, triples.iterator)
-    val perNode =
-      if (replicate) Array.fill(q)(labeling.labelCount) // DparaPLL keeps all labels everywhere
-      else perNodeStored
-    (labeling, DistStats(
-      timeMs = (System.nanoTime() - t0) / 1000000,
-      syncs = acc.syncs,
-      labelsGenerated = acc.labelsGenerated,
-      labelsFinal = labeling.labelCount,
-      redundantRemoved = acc.redundantRemoved,
-      bytesBroadcast = acc.bytesBroadcast,
-      bytesAllReduce = acc.bytesAllReduce,
-      explored = acc.explored,
-      perNodeLabels = perNode))
+    bcGraph.destroy(); bcRank.destroy()
+    SimCluster.finish(owned, g.n, rank, acc, t0, replicate = replicate)
   }
 
   /** Geometrically growing superstep sizes covering `total` roots. */
@@ -73,13 +61,14 @@ object DGLL {
     * @param priorOwned  labels already stored per node (Hybrid's PLaNT
     *                    phase output); visible for pruning only to their
     *                    owner, and as cleaning witnesses to everyone via
-    *                    the bitvector scheme
-    * @return the final owned-label RDD (persisted)
+    *                    the bitvector scheme. Consumed: released once the
+    *                    first superstep's labels are appended.
+    * @return the final store, for the caller to [[SimCluster.finish]]
     */
   private[dist] def runSupersteps(
       spark: SparkSession,
-      g: CsrGraph,
-      rank: Ranking,
+      bcGraph: Broadcast[CsrGraph],
+      bcRank: Broadcast[Ranking],
       q: Int,
       beta: Int,
       rankQueries: Boolean,
@@ -89,20 +78,19 @@ object DGLL {
       priorOwned: SimCluster.OwnedLabels,
       acc: SimCluster.StatsAccum,
   ): SimCluster.OwnedLabels = {
-    val sc = spark.sparkContext
-    val n  = g.n
-    val bcGraph = sc.broadcast(g)
-    val bcRank  = sc.broadcast(rank)
-    val bcHc    = if (hc != null) sc.broadcast(hc) else null
+    val sc   = spark.sparkContext
+    val rank = bcRank.value
+    val n    = rank.n
+    val bcHc = if (hc != null) sc.broadcast(hc) else null
     val exploredAcc = sc.longAccumulator("explored")
 
-    var owned  = priorOwned
+    var owned = priorOwned
     // Global pruning table: labels exchanged so far in THIS phase (Hybrid's
     // pre-switch PLaNT labels are deliberately not here — they were never
-    // broadcast; each node sees only its own slice of them).
-    val globalTriples = mutable.ArrayBuffer.empty[LabelTriple]
-    var gHubs  = Array.fill(n)(Array.emptyIntArray)
-    var gDists = Array.fill(n)(Array.emptyLongArray)
+    // broadcast; each node sees only its own slice of them). Each superstep's
+    // roots rank below all earlier ones, so committing appends to the
+    // rank-descending lists, as GLL's commit does.
+    val global = new LabelBuffers(n, threadSafe = false)
 
     var pos = startPos
     val sizes = superstepSizes(n - startPos, beta).iterator
@@ -112,13 +100,15 @@ object DGLL {
       val b = math.min(n, a + size)
       pos = b
 
-      val bcGlobal = sc.broadcast((gHubs, gDists))
+      val bcGlobal = sc.broadcast((
+        Array.tabulate(n)(v => java.util.Arrays.copyOf(global.bufs(v).hubs, global.bufs(v).size)),
+        Array.tabulate(n)(v => java.util.Arrays.copyOf(global.bufs(v).dists, global.bufs(v).size))))
       val rq = rankQueries
-      val newTriples: Array[LabelTriple] = owned
+      // candidates(i): the labels node i generated, in root order
+      val candidates: Array[NodeLabels] = owned
         .mapPartitionsWithIndex { (pid, it) =>
           val gg = bcGraph.value; val rk = bcRank.value
-          val own = new LabelBuffers(gg.n, threadSafe = false)
-          it.foreach { case (_, t) => own.add(t.v, t.h, t.d) }
+          val own   = it.next().index(gg.n)
           val local = new LabelBuffers(gg.n, threadSafe = false)
           val (gh, gd) = bcGlobal.value
           val views = mutable.ArrayBuffer[LabelView](
@@ -128,94 +118,97 @@ object DGLL {
           if (bcHc != null) views += new HcView(bcHc.value, rk)
           val view    = new LabelView.Composite(views.toSeq)
           val scratch = new DijkstraScratch(gg.n)
-          val out     = mutable.ArrayBuffer.empty[LabelTriple]
+          val out     = new NodeLabels.Builder
           var explored = 0L
-          // process this node's slice of the superstep's roots in rank order
-          var p = a
+          // this node's slice of the superstep's roots, in rank order
+          var p = a + Math.floorMod(pid - a, q)
           while (p < b) {
-            if (p % q == pid) {
-              val root = rk.order(p)
-              explored += PrunedDijkstra.buildTree(
-                gg, rk, root, view, rq, scratch,
-                sink = (v, d) => { local.add(v, root, d); out += LabelTriple(v, root, d) })
-            }
-            p += 1
+            val root = rk.order(p)
+            explored += PrunedDijkstra.buildTree(
+              gg, rk, root, view, rq, scratch,
+              sink = (v, d) => { local.add(v, root, d); out.add(v, root, d) })
+            p += q
           }
           exploredAcc.add(explored)
-          out.iterator
+          Iterator.single(out.result())
         }
         .collect() // ← the superstep's label exchange (metered below)
       bcGlobal.destroy()
-      acc.labelsGenerated += newTriples.length
-      acc.recordExchange(newTriples.length.toLong, q, cleaned = clean)
+      val generated = candidates.map(_.size.toLong).sum
+      acc.labelsGenerated += generated
+      acc.recordExchange(generated, q, cleaned = clean)
 
-      val survivors: Array[LabelTriple] =
-        if (!clean || newTriples.isEmpty) newTriples
+      val survivors: Array[NodeLabels] =
+        if (!clean || generated == 0) candidates
         else {
-          val bits = cleanCandidates(spark, owned, q, bcRank, newTriples)
+          val bits = cleanCandidates(spark, owned, bcRank, candidates)
           acc.redundantRemoved += bits.count(identity)
-          newTriples.zip(bits).collect { case (t, false) => t }
+          var off = 0
+          candidates.map { c =>
+            val o = off; off += c.size
+            c.select(i => !bits(o + i))
+          }
         }
 
-      globalTriples ++= survivors
-      val gl = Labeling.fromTriples(n, rank, globalTriples.iterator)
-      gHubs = gl.hubs; gDists = gl.dists
-
-      val next = SimCluster.appendLabels(sc, owned, q, rank, survivors.toIndexedSeq)
-      next.persist()
-      next.count()
-      if (owned ne priorOwned) owned.unpersist(blocking = false)
-      owned = next
+      commit(global, rank, q, a, b, survivors)
+      owned = SimCluster.appendLabels(owned, sc.parallelize(survivors.toSeq, q))
     }
     acc.explored += exploredAcc.value
-    bcGraph.destroy(); bcRank.destroy()
     if (bcHc != null) bcHc.destroy()
     owned
+  }
+
+  /** Appends the superstep's survivors to the driver's global table in rank
+    * order of their hubs: roots `a until b` in turn, each root's labels
+    * being one contiguous run of its owner's block.
+    */
+  private def commit(global: LabelBuffers, rank: Ranking, q: Int, a: Int, b: Int,
+                     survivors: Array[NodeLabels]): Unit = {
+    val cursor = new Array[Int](q)
+    var p = a
+    while (p < b) {
+      val root = rank.order(p)
+      val s    = survivors(p % q)
+      var i    = cursor(p % q)
+      while (i < s.size && s.h(i) == root) { global.add(s.v(i), root, s.d(i)); i += 1 }
+      cursor(p % q) = i
+      p += 1
+    }
   }
 
   /** Distributed cleaning (§5.1): broadcast the superstep's candidate
     * labels; each node marks the candidates it can prove redundant using
     * witness hubs *it owns* (their labels for both endpoints live here);
-    * OR-allreduce the bitvectors.
+    * OR-allreduce the bitvectors. Bit `k` is candidate `k` in the order of
+    * `candidates` flattened.
     */
   private def cleanCandidates(
       spark: SparkSession,
       owned: SimCluster.OwnedLabels,
-      q: Int,
-      bcRank: org.apache.spark.broadcast.Broadcast[Ranking],
-      candidates: Array[LabelTriple],
+      bcRank: Broadcast[Ranking],
+      candidates: Array[NodeLabels],
   ): Array[Boolean] = {
     val sc     = spark.sparkContext
     val bcCand = sc.broadcast(candidates)
+    val total  = candidates.map(_.size).sum
     val bits = owned
       .mapPartitionsWithIndex { (pid, it) =>
         val rk   = bcRank.value
         val cand = bcCand.value
-        // vertex -> (hub -> dist) over labels whose hub this node owns:
-        // prior owned labels plus this superstep's candidates owned here.
-        val lab = new mutable.LongMap[mutable.LongMap[Long]]()
-        def put(t: LabelTriple): Unit =
-          lab.getOrElseUpdate(t.v.toLong, new mutable.LongMap[Long](8))(t.h.toLong) = t.d
-        it.foreach { case (_, t) => put(t) }
-        cand.foreach(t => if (rk.owner(t.h, q) == pid) put(t))
-        val res = new Array[Boolean](cand.length)
-        var ci = 0
-        while (ci < cand.length) {
-          val t  = cand(ci)
-          val mv = lab.getOrNull(t.v.toLong)
-          val mh = lab.getOrNull(t.h.toLong)
-          if (mv != null && mh != null) {
-            val (small, big) = if (mv.size <= mh.size) (mv, mh) else (mh, mv)
-            val rh = rk(t.h)
-            val found = small.exists { case (w, d1) =>
-              rk(w.toInt) > rh && {
-                val d2 = big.getOrElse(w, -1L)
-                d2 >= 0 && d1 + d2 <= t.d
-              }
-            }
-            if (found) res(ci) = true
+        // per-vertex lists of the labels whose hub this node owns: its
+        // stored labels, then this superstep's candidates generated here —
+        // both in root order, so every list is rank-descending
+        val lab = cand(pid).addTo(it.next().index(rk.n))
+        val res = new Array[Boolean](total)
+        var k = 0
+        cand.foreach { c =>
+          var i = 0
+          while (i < c.size) {
+            val bv = lab.bufs(c.v(i)); val bh = lab.bufs(c.h(i))
+            res(k) = Cleaning.isRedundant(rk, c.h(i), c.d(i),
+              bv.hubs, bv.dists, bv.size, bh.hubs, bh.dists, bh.size)
+            i += 1; k += 1
           }
-          ci += 1
         }
         Iterator.single(res)
       }

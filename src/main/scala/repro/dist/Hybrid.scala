@@ -1,8 +1,7 @@
 package repro.dist
 
-import scala.collection.mutable
 import org.apache.spark.sql.SparkSession
-import repro.core.{DijkstraScratch, Labeling, LabelTriple}
+import repro.core.{DijkstraScratch, Labeling}
 import repro.graph.{CsrGraph, Ranking}
 
 /** PLaNT (§5.2) and the Hybrid PLaNT→DGLL algorithm (§5.2.1).
@@ -34,18 +33,17 @@ object Hybrid {
     val n   = g.n
     val t0  = System.nanoTime()
     val acc = new SimCluster.StatsAccum
-    val part = new SimCluster.NodePartitioner(q)
     // batch granularity trades Ψ-sampling resolution against per-batch job
     // overhead; n/16 keeps the switch decision responsive at our scales
-    val batch = if (batchSize > 0) batchSize else math.max(4 * q, n / 16)
-    val useHc = eta > 0
+    val batch  = if (batchSize > 0) batchSize else math.max(4 * q, n / 16)
+    val etaEff = math.min(eta, n)
 
     val bcGraph = sc.broadcast(g)
     val bcRank  = sc.broadcast(rank)
     val exploredAcc = sc.longAccumulator("plantExplored")
 
     var owned: SimCluster.OwnedLabels = SimCluster.emptyLabels(sc, q)
-    var hc: CommonTable = if (useHc) CommonTable.empty(math.min(eta, n), n) else null
+    var hc: CommonTable = if (etaEff > 0) CommonTable.empty(etaEff, n) else null
     var pos       = 0
     var switchPos = -1
     var lastExplored = 0L
@@ -55,43 +53,40 @@ object Hybrid {
       val b = math.min(n, a + batch)
       pos = b
       val bcHc = if (hc != null) sc.broadcast(hc) else null
-      val batchRdd = sc
-        .parallelize((a until b).map(p => (p % q, p)), q)
-        .partitionBy(part)
-        .mapPartitionsWithIndex { (pid, it) =>
-          val gg = bcGraph.value; val rk = bcRank.value
-          val hct = if (bcHc != null) bcHc.value else null
-          val scratch = new DijkstraScratch(gg.n)
-          val out = mutable.ArrayBuffer.empty[(Int, LabelTriple)]
-          var explored = 0L
-          it.foreach { case (_, p) =>
-            val root = rk.order(p)
-            explored += PlantTree.build(gg, rk, root, hct, scratch,
-              sink = (v, d) => out += ((pid, LabelTriple(v, root, d))))
-          }
-          exploredAcc.add(explored)
-          out.iterator
+      // node `pid` plants the batch's roots it owns: positions p ≡ pid (mod q)
+      val fresh = sc.parallelize(0 until q, q).mapPartitionsWithIndex { (pid, _) =>
+        val gg = bcGraph.value; val rk = bcRank.value
+        val hct = if (bcHc != null) bcHc.value else null
+        val scratch = new DijkstraScratch(gg.n)
+        val out = new NodeLabels.Builder
+        var explored = 0L
+        var p = a + Math.floorMod(pid - a, q)
+        while (p < b) {
+          val root = rk.order(p)
+          explored += PlantTree.build(gg, rk, root, hct, scratch, sink = (v, d) => out.add(v, root, d))
+          p += q
         }
-      batchRdd.persist()
-      val labelsThisBatch = batchRdd.count()
+        exploredAcc.add(explored)
+        Iterator.single(out.result())
+      }
+      fresh.persist()
+      // per node: labels planted, and those of top-η hubs for the common table
+      val planted = fresh.map { nl =>
+        val rk = bcRank.value
+        (nl.size.toLong, nl.select(i => rk.posOf(nl.h(i)) < etaEff))
+      }.collect()
+      val labelsThisBatch = planted.map(_._1).sum
       acc.labelsGenerated += labelsThisBatch
       val exploredThisBatch = exploredAcc.value - lastExplored
       lastExplored = exploredAcc.value
 
-      if (useHc) {
-        val etaEff = math.min(eta, n)
-        val hcNew = batchRdd.map(_._2).filter(t => bcRank.value.posOf(t.h) < etaEff).collect()
-        if (hcNew.nonEmpty) {
-          hc = hc.updated(rank, hcNew.toIndexedSeq)
-          acc.recordCommonTable(hcNew.length.toLong, q)
-        }
+      val hcNew = NodeLabels.concat(planted.map(_._2).toSeq)
+      if (hcNew.size > 0) {
+        hc = hc.updated(rank, hcNew.triples.toSeq)
+        acc.recordCommonTable(hcNew.size.toLong, q)
       }
-      val next = owned.union(batchRdd).partitionBy(part)
-      next.persist()
-      next.count()
-      owned.unpersist(blocking = false)
-      batchRdd.unpersist(blocking = false)
-      owned = next
+      owned = SimCluster.appendLabels(owned, fresh)
+      fresh.unpersist(blocking = false)
       if (bcHc != null) bcHc.destroy()
 
       val psi = exploredThisBatch.toDouble / math.max(1L, labelsThisBatch)
@@ -99,36 +94,12 @@ object Hybrid {
     }
     acc.explored = lastExplored
 
-    val finalOwned =
-      if (switchPos >= 0)
-        DGLL.runSupersteps(spark, g, rank, q, beta,
-          rankQueries = true, clean = true, hc = hc,
-          startPos = switchPos, priorOwned = owned, acc = acc)
-      else owned
-
-    val perNode = SimCluster.perNodeLabelCounts(finalOwned)
-    val triples = finalOwned.map(_._2).collect()
-    finalOwned.unpersist(blocking = false)
+    if (switchPos >= 0)
+      owned = DGLL.runSupersteps(spark, bcGraph, bcRank, q, beta,
+        rankQueries = true, clean = true, hc = hc,
+        startPos = switchPos, priorOwned = owned, acc = acc)
     bcGraph.destroy(); bcRank.destroy()
-    val labeling = Labeling.fromTriples(n, rank, triples.iterator)
-    (labeling, DistStats(
-      timeMs = (System.nanoTime() - t0) / 1000000,
-      syncs = acc.syncs,
-      labelsGenerated = acc.labelsGenerated,
-      labelsFinal = labeling.labelCount,
-      redundantRemoved = acc.redundantRemoved,
-      bytesBroadcast = acc.bytesBroadcast,
-      bytesAllReduce = acc.bytesAllReduce,
-      explored = acc.explored,
-      perNodeLabels = perNode,
-      switchPos = switchPos))
+    SimCluster.finish(owned, n, rank, acc, t0, switchPos = switchPos,
+      commonTableLabels = if (hc != null) hc.labelCount else 0)
   }
-}
-
-/** Pure PLaNT: plant every tree, communicate nothing (§5.2). */
-object Plant {
-  def run(spark: SparkSession, g: CsrGraph, rank: Ranking, q: Int,
-          batchSize: Int = 0): (Labeling, DistStats) =
-    Hybrid.run(spark, g, rank, q, psiTh = Double.PositiveInfinity, eta = 0,
-      batchSize = if (batchSize > 0) batchSize else math.max(1, g.n))
 }

@@ -1,41 +1,144 @@
 package repro.dist
 
-import org.apache.spark.{Partitioner, SparkContext}
+import org.apache.spark.SparkContext
 import org.apache.spark.rdd.RDD
-import repro.core.LabelTriple
+import repro.core.{LabelBuffers, Labeling, LabelTriple}
 import repro.graph.Ranking
+
+/** The labels one simulated node stores, as parallel columns: label `i` says
+  * vertex `v(i)` is at distance `d(i)` from hub `h(i)`.
+  *
+  * A node stores exactly the labels of the hubs it owns, and every append
+  * adds the labels of roots further down the rank order than any already
+  * stored; so in column order each vertex's hubs are rank-descending, which
+  * is what [[index]]'s per-vertex lists and the cleaning merge rely on.
+  */
+final class NodeLabels(val v: Array[Int], val h: Array[Int], val d: Array[Long]) extends Serializable {
+  def size: Int = v.length
+
+  /** This block followed by `more`. */
+  def ++(more: NodeLabels): NodeLabels =
+    new NodeLabels(Array.concat(v, more.v), Array.concat(h, more.h), Array.concat(d, more.d))
+
+  /** The labels `i` for which `keep(i)` holds, in column order. */
+  def select(keep: Int => Boolean): NodeLabels = {
+    val b = new NodeLabels.Builder
+    var i = 0
+    while (i < size) { if (keep(i)) b.add(v(i), h(i), d(i)); i += 1 }
+    b.result()
+  }
+
+  /** Appends every label to `into`'s per-vertex lists, in column order. */
+  def addTo(into: LabelBuffers): LabelBuffers = {
+    var i = 0
+    while (i < size) { into.add(v(i), h(i), d(i)); i += 1 }
+    into
+  }
+
+  /** Per-vertex lists of this block's labels over `n` vertices. */
+  def index(n: Int): LabelBuffers = addTo(new LabelBuffers(n, threadSafe = false))
+
+  def triples: Iterator[LabelTriple] = Iterator.range(0, size).map(i => LabelTriple(v(i), h(i), d(i)))
+}
+
+object NodeLabels {
+  val empty = new NodeLabels(Array.emptyIntArray, Array.emptyIntArray, Array.emptyLongArray)
+
+  /** All labels of `blocks`, in order. */
+  def concat(blocks: Seq[NodeLabels]): NodeLabels =
+    new NodeLabels(Array.concat(blocks.map(_.v): _*), Array.concat(blocks.map(_.h): _*),
+      Array.concat(blocks.map(_.d): _*))
+
+  /** Growable columns for a tree sink. */
+  final class Builder {
+    private var v = new Array[Int](16)
+    private var h = new Array[Int](16)
+    private var d = new Array[Long](16)
+    private var size = 0
+
+    def add(vv: Int, hh: Int, dd: Long): Unit = {
+      if (size == v.length) {
+        v = java.util.Arrays.copyOf(v, size * 2)
+        h = java.util.Arrays.copyOf(h, size * 2)
+        d = java.util.Arrays.copyOf(d, size * 2)
+      }
+      v(size) = vv; h(size) = hh; d(size) = dd; size += 1
+    }
+
+    def result(): NodeLabels =
+      new NodeLabels(java.util.Arrays.copyOf(v, size), java.util.Arrays.copyOf(h, size),
+        java.util.Arrays.copyOf(d, size))
+  }
+}
 
 /** The multi-node cluster substrate (DESIGN.md §3/§4).
   *
-  * A cluster of `q` nodes is simulated as `q` Spark RDD partitions: labels
-  * are hash-partitioned by *hub owner* (`owner(h) = posOf(h) mod q`, the
-  * paper's circular task split), broadcasts are `sc.broadcast`, allreduce
-  * is `treeReduce`, and communication volume is metered in bytes by the
-  * driver using the paper's 12-byte-per-label accounting.
+  * A cluster of `q` nodes is simulated as `q` Spark RDD partitions:
+  * partition `i` is node `i` and holds one [[NodeLabels]] block, the labels
+  * of the hubs it owns (`owner(h) = posOf(h) mod q`, the paper's circular
+  * task split). New labels are produced already split by owner and appended
+  * partition by partition, so no stored label ever moves. Broadcasts are
+  * `sc.broadcast`, allreduce is `treeReduce`, and communication volume is
+  * metered in bytes by the driver using the paper's 12-byte-per-label
+  * accounting.
   */
 object SimCluster {
 
-  /** Keys are owner node ids already in `[0, q)`. */
-  final class NodePartitioner(q: Int) extends Partitioner {
-    def numPartitions: Int = q
-    def getPartition(key: Any): Int = key.asInstanceOf[Int] % q
-  }
-
-  type OwnedLabels = RDD[(Int, LabelTriple)]
+  /** Partition `i` holds node `i`'s single block. */
+  type OwnedLabels = RDD[NodeLabels]
 
   def emptyLabels(sc: SparkContext, q: Int): OwnedLabels =
-    sc.parallelize(Seq.empty[(Int, LabelTriple)], q).partitionBy(new NodePartitioner(q))
+    sc.parallelize(Seq.fill(q)(NodeLabels.empty), q)
 
-  /** Append freshly generated labels to the partitioned label store. */
-  def appendLabels(sc: SparkContext, owned: OwnedLabels, q: Int,
-                   rank: Ranking, fresh: Seq[LabelTriple]): OwnedLabels = {
-    val freshRdd = sc.parallelize(fresh.map(t => (rank.owner(t.h, q), t)), math.max(1, q))
-    owned.union(freshRdd).partitionBy(new NodePartitioner(q))
+  /** Appends each node's fresh block (partition `i` of `fresh`) to its
+    * store. The new store is materialized and local-checkpointed, which cuts
+    * its lineage: appends chain once per batch or superstep, and a lineage
+    * would reach back to tasks whose broadcasts are already destroyed. The
+    * old store is released.
+    */
+  def appendLabels(owned: OwnedLabels, fresh: RDD[NodeLabels]): OwnedLabels = {
+    val next = owned.zipPartitions(fresh, preservesPartitioning = true) { (o, f) =>
+      Iterator.single(o.next() ++ f.next())
+    }
+    next.localCheckpoint()
+    next.count()
+    owned.unpersist(blocking = false)
+    next
   }
 
-  /** Labels stored per node — the collaborative-partitioning memory story. */
-  def perNodeLabelCounts(owned: OwnedLabels): Array[Long] =
-    owned.mapPartitions(it => Iterator.single(it.size.toLong)).collect()
+  /** Collects and releases the store, and assembles the run's labeling and
+    * stats. DparaPLL (`replicate`) keeps every label on every node.
+    */
+  def finish(
+      owned: OwnedLabels,
+      n: Int,
+      rank: Ranking,
+      acc: StatsAccum,
+      t0: Long,
+      replicate: Boolean = false,
+      switchPos: Int = -1,
+      commonTableLabels: Long = 0,
+  ): (Labeling, DistStats) = {
+    val blocks = owned.collect()
+    owned.unpersist(blocking = false)
+    val all      = NodeLabels.concat(blocks.toSeq)
+    val labeling = Labeling.fromColumns(n, rank, all.v, all.h, all.d)
+    val perNode =
+      if (replicate) Array.fill(blocks.length)(labeling.labelCount)
+      else blocks.map(_.size.toLong)
+    (labeling, DistStats(
+      timeMs = (System.nanoTime() - t0) / 1000000,
+      syncs = acc.syncs,
+      labelsGenerated = acc.labelsGenerated,
+      labelsFinal = labeling.labelCount,
+      redundantRemoved = acc.redundantRemoved,
+      bytesBroadcast = acc.bytesBroadcast,
+      bytesAllReduce = acc.bytesAllReduce,
+      explored = acc.explored,
+      perNodeLabels = perNode,
+      switchPos = switchPos,
+      commonTableLabels = commonTableLabels))
+  }
 
   /** Mutable driver-side tally of the simulated cluster's behaviour. */
   final class StatsAccum {
@@ -73,6 +176,7 @@ final case class DistStats(
     explored: Long,
     perNodeLabels: Array[Long],
     switchPos: Int = -1, // Hybrid: rank position of the PLaNT→DGLL switch
+    commonTableLabels: Long = 0, // Hybrid: labels in the final common table
 ) {
   /** Ψ of the whole run: vertices explored per label generated. */
   def psi: Double = explored.toDouble / math.max(1L, labelsGenerated)

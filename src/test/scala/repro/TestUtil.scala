@@ -50,6 +50,16 @@ object TestUtil {
       s"${missing.size} missing (e.g. ${missing.take(3)})")
   }
 
+  /** Label-set equality, vertex by vertex (both labelings rank-sorted). */
+  def assertSameLabels(expected: Labeling, got: Labeling, what: String): Unit = {
+    assert(got.n == expected.n, s"$what: n=${got.n}, expected ${expected.n}")
+    val bad = (0 until expected.n).filterNot(v =>
+      java.util.Arrays.equals(got.hubs(v), expected.hubs(v)) &&
+        java.util.Arrays.equals(got.dists(v), expected.dists(v)))
+    assert(bad.isEmpty, s"$what: labels differ at ${bad.size} vertices, e.g. ${bad.take(3)}; " +
+      s"${got.labelCount} labels, expected ${expected.labelCount}")
+  }
+
   /** `respects R` (Def. 3): for every connected pair the canonical hub of
     * the pair is present in both label sets — checked against brute force.
     */

@@ -74,13 +74,13 @@ class LabelingSpec extends AnyFunSuite {
     // witness hub 3 with 2+2 <= 4 and rank(3) > rank(1) → redundant
     val lv = (Array(3, 1), Array(2L, 4L))
     val lh = (Array(3, 1), Array(2L, 0L))
-    assert(Cleaning.isRedundant(rank, 1, 4L, lv._1, lv._2, lh._1, lh._2))
+    assert(Cleaning.isRedundant(rank, 1, 4L, lv._1, lv._2, lv._1.length, lh._1, lh._2, lh._1.length))
   }
 
   test("Cleaning.isRedundant: self-witness terminates as non-redundant") {
     val lv = (Array(3, 1), Array(9L, 4L)) // hub 3 too far: 9+2 > 4
     val lh = (Array(3, 1), Array(2L, 0L))
-    assert(!Cleaning.isRedundant(rank, 1, 4L, lv._1, lv._2, lh._1, lh._2))
+    assert(!Cleaning.isRedundant(rank, 1, 4L, lv._1, lv._2, lv._1.length, lh._1, lh._2, lh._1.length))
   }
 
   test("Cleaning.isRedundant: witness must outrank the hub") {
@@ -88,6 +88,6 @@ class LabelingSpec extends AnyFunSuite {
     val r3 = Ranking.identity(3)
     val lv = (Array(2, 0), Array(4L, 1L))
     val lh = (Array(2, 0), Array(0L, 3L))
-    assert(!Cleaning.isRedundant(r3, 2, 4L, lv._1, lv._2, lh._1, lh._2))
+    assert(!Cleaning.isRedundant(r3, 2, 4L, lv._1, lv._2, lv._1.length, lh._1, lh._2, lh._1.length))
   }
 }

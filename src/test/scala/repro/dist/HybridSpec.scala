@@ -60,10 +60,12 @@ class HybridSpec extends SparkSpec {
     val g = GraphGen.preferentialAttachment(70, 3, seed = 66)
     val r = Ranking.byDegree(g)
     val eta = 8
-    val (l, _) = Hybrid.run(spark, g, r, q = 2, psiTh = 1e18, eta = eta, batchSize = 16)
-    // rebuild the expected common-table label count from the labeling
+    val (l, stats) = Hybrid.run(spark, g, r, q = 2, psiTh = 1e18, eta = eta, batchSize = 16)
+    // without a switch every top-eta hub's tree is planted, so the table
+    // ends up holding exactly those hubs' final labels
     val expected = l.triples.count(t => r.posOf(t.h) < eta)
     assert(expected > 0)
+    assert(stats.commonTableLabels == expected)
   }
 
   test("Hybrid label storage stays partitioned across the switch") {

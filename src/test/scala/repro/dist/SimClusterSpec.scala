@@ -1,39 +1,62 @@
 package repro.dist
 
 import repro.SparkSpec
-import repro.core.LabelTriple
-import repro.graph.Ranking
+import repro.graph.{GraphGen, Ranking}
 
 class SimClusterSpec extends SparkSpec {
 
   test("emptyLabels has q empty partitions") {
     val rdd = SimCluster.emptyLabels(spark.sparkContext, 4)
     assert(rdd.getNumPartitions == 4)
-    assert(rdd.count() == 0)
+    assert(rdd.collect().map(_.size).toSeq == Seq(0, 0, 0, 0))
   }
 
-  test("appendLabels routes every label to its hub's owner partition") {
-    val q    = 4
-    val rank = Ranking.identity(8)
-    val ts   = (0 until 8).map(h => LabelTriple(v = 0, h = h, d = h.toLong))
-    val rdd = SimCluster.appendLabels(
-      spark.sparkContext, SimCluster.emptyLabels(spark.sparkContext, q), q, rank, ts)
-    val placed = rdd
-      .mapPartitionsWithIndex((pid, it) => it.map { case (_, t) => (pid, t.h) })
-      .collect()
-    placed.foreach { case (pid, h) => assert(pid == rank.owner(h, q), s"hub $h on node $pid") }
-    assert(placed.length == 8)
+  test("appendLabels appends each node's block to that node's store") {
+    val sc = spark.sparkContext
+    val q  = 3
+    def blocks(base: Int) = (0 until q).map(i =>
+      new NodeLabels(Array(base + i), Array(i), Array((base + i).toLong)))
+    val once  = SimCluster.appendLabels(SimCluster.emptyLabels(sc, q), sc.parallelize(blocks(0), q))
+    val twice = SimCluster.appendLabels(once, sc.parallelize(blocks(10), q))
+    val stored = twice.collect()
+    assert(stored.length == q)
+    stored.zipWithIndex.foreach { case (nl, i) =>
+      assert(nl.v.toSeq == Seq(i, 10 + i) && nl.h.toSeq == Seq(i, i) && nl.d.toSeq == Seq(i.toLong, 10L + i))
+    }
+    assert(!twice.dependencies.exists(_.rdd eq once), "the stored block must not depend on the old store")
+    twice.unpersist()
   }
 
-  test("perNodeLabelCounts sums to the total") {
+  test("finish reports per-node counts that sum to the total") {
+    val sc   = spark.sparkContext
     val q    = 3
     val rank = Ranking.identity(9)
-    val ts   = (0 until 9).flatMap(h => Seq(LabelTriple(1, h, 1), LabelTriple(2, h, 2)))
-    val rdd = SimCluster.appendLabels(
-      spark.sparkContext, SimCluster.emptyLabels(spark.sparkContext, q), q, rank, ts)
-    val counts = SimCluster.perNodeLabelCounts(rdd)
-    assert(counts.length == q)
-    assert(counts.sum == 18)
+    // node i owns hubs at positions i, i+3, i+6 (hub 8 - pos)
+    val owned = sc.parallelize((0 until q).map { i =>
+      val hubs = (i until 9 by q).map(pos => 8 - pos)
+      new NodeLabels(hubs.flatMap(_ => Seq(1, 2)).toArray, hubs.flatMap(h => Seq(h, h)).toArray,
+        hubs.flatMap(_ => Seq(1L, 2L)).toArray)
+    }, q)
+    val (l, stats) = SimCluster.finish(owned, 9, rank, new SimCluster.StatsAccum, System.nanoTime())
+    assert(stats.perNodeLabels.toSeq == Seq(6L, 6L, 6L))
+    assert(l.labelCount == 18 && stats.labelsFinal == 18)
+    assert(l.hubs(1).toSeq == (8 to 0 by -1), "each vertex's hubs must be rank-descending")
+    assert(l.query(1, 2) == 3)
+  }
+
+  test("runs leave no persisted RDD behind") {
+    val sc = spark.sparkContext
+    val g  = GraphGen.grid(7, 7, seed = 63)
+    val r  = Ranking.byApproxBetweenness(g)
+    def assertNoneLeft(what: String): Unit =
+      assert(sc.getPersistentRDDs.isEmpty, s"$what left ${sc.getPersistentRDDs.values.mkString(", ")}")
+    Plant.run(spark, g, r, q = 2, batchSize = 8)
+    assertNoneLeft("Plant.run")
+    val (_, hs) = Hybrid.run(spark, g, r, q = 2, psiTh = 0.0, batchSize = 8)
+    assert(hs.switchPos > 0, "the Hybrid run must switch to DGLL")
+    assertNoneLeft("a switching Hybrid.run")
+    DGLL.run(spark, g, r, q = 2)
+    assertNoneLeft("DGLL.run")
   }
 
   test("recordExchange meters broadcast and bitvector traffic") {
@@ -57,11 +80,5 @@ class SimClusterSpec extends SparkSpec {
     val acc = new SimCluster.StatsAccum
     acc.recordCommonTable(labels = 7, q = 5)
     assert(acc.bytesBroadcast == 7L * 12 * 4)
-  }
-
-  test("NodePartitioner maps owner keys to themselves") {
-    val p = new SimCluster.NodePartitioner(5)
-    (0 until 5).foreach(i => assert(p.getPartition(i) == i))
-    assert(p.numPartitions == 5)
   }
 }
