@@ -9,16 +9,19 @@ import repro.graph.{CsrGraph, Ranking}
   * threads claim roots in rank order from a global counter and build pruned
   * SPTs (rank + distance queries) appending to a locked *local* table while
   * consulting the lock-free *global* table; once the local table exceeds
-  * `alpha * n` labels the threads synchronize, the local labels are sorted,
-  * cleaned (Alg. 2's `DQ_Clean`, local candidates only) and committed to
-  * the global table.
+  * `alpha * n` labels the threads synchronize, and the superstep's trees
+  * are cleaned (Alg. 2's `DQ_Clean`, local candidates only) and committed
+  * to the global table.
   *
   * Because roots are claimed in rank order, every hub of superstep `s`
   * ranks strictly below every hub of superstep `s-1`; committing is
-  * therefore a cheap *append* to the per-vertex rank-sorted global lists,
-  * and a cleaning query walks `global(v) ++ local(v)` directly — no table
-  * rebuild per superstep (this is what makes GLL's interleaved cleaning
-  * cheaper than LCC's one-shot cleaning).
+  * therefore a cheap *append*, tree by tree in root order, to the
+  * per-vertex rank-sorted global lists. Cleaning is grouped by tree: each
+  * root's `global(h) ++ local(h)` is snapshotted once into a dense array
+  * and every label `(v, δ)` of its tree scans `global(v) ++ local(v)`
+  * ([[Cleaning.isRedundant]]) — no sort and no table rebuild per superstep
+  * (this is what makes GLL's interleaved cleaning cheaper than LCC's
+  * one-shot cleaning).
   *
   * [[GLL.runLCC]] is the two-step LCC algorithm (§4.1): exactly one
   * superstep (`alpha = ∞`) followed by one full cleaning pass.
@@ -51,6 +54,12 @@ object GLL {
     // lock-avoidance point).
     val global     = new LabelBuffers(n, threadSafe = false)
     val globalView = new LabelView.OfBuffers(global)
+    // The labels `(treeV(p)(i), treeD(p)(i))` of the tree rooted at rank
+    // position `p`, kept from its construction until its superstep commits.
+    val treeV = new Array[Array[Int]](n)
+    val treeD = new Array[Array[Long]](n)
+    // thread t's scratch, for its trees and then for its cleaning snapshots
+    val scratches = Array.fill(threads)(new DijkstraScratch(n))
 
     val rootPos     = new AtomicInteger(0)
     val exploredTot = new AtomicLong(0)
@@ -62,14 +71,16 @@ object GLL {
 
     while (rootPos.get() < n) {
       supersteps += 1
+      val a              = rootPos.get()
       val local          = new LabelBuffers(n, threadSafe = true)
       val labelsThisStep = new AtomicLong(0)
       val view = new LabelView.Composite(Seq(globalView, new LabelView.OfBuffers(local)))
 
       val tc = System.nanoTime()
-      val workers = (0 until threads).map { _ =>
+      val workers = (0 until threads).map { t =>
         new Thread(() => {
-          val scratch = new DijkstraScratch(n)
+          val scratch = scratches(t)
+          val out     = new TreeBuffer
           var done = false
           while (!done) {
             if (labelsThisStep.get() >= limit) done = true
@@ -78,9 +89,13 @@ object GLL {
               if (i >= n) done = true
               else {
                 val root = rank.order(i)
+                out.size = 0
                 val e = PrunedDijkstra.buildTree(
                   g, rank, root, view, rankQueries = true, scratch,
-                  sink = (v, d) => { local.add(v, root, d); labelsThisStep.incrementAndGet() })
+                  sink = (v, d) => { local.add(v, root, d); out.add(v, d) })
+                treeV(i) = java.util.Arrays.copyOf(out.v, out.size)
+                treeD(i) = java.util.Arrays.copyOf(out.d, out.size)
+                labelsThisStep.addAndGet(out.size)
                 exploredTot.addAndGet(e)
               }
             }
@@ -91,71 +106,61 @@ object GLL {
       workers.foreach(_.join())
       constructNs += System.nanoTime() - tc
       generated += labelsThisStep.get()
+      val b = math.min(n, rootPos.get()) // this superstep built roots a until b
 
-      // ---- synchronize: sort local labels, clean them, append to global ----
+      // ---- synchronize: clean the superstep's trees, append to global ----
+      // Cleaning threads claim roots h and test each label (v, δ) of h's
+      // tree against the snapshot of global(h) ++ local(h), scanning
+      // global(v) ++ local(v). Both tables are read-only until the commit,
+      // so the local table is read without its locks.
       val ts = System.nanoTime()
-      val lHubs  = new Array[Array[Int]](n)
-      val lDists = new Array[Array[Long]](n)
-      var v = 0
-      while (v < n) {
-        val b = local.bufs(v)
-        if (b.size == 0) { lHubs(v) = Array.emptyIntArray; lDists(v) = Array.emptyLongArray }
-        else {
-          lHubs(v) = java.util.Arrays.copyOf(b.hubs, b.size)
-          lDists(v) = java.util.Arrays.copyOf(b.dists, b.size)
-          Labeling.sortByRankDesc(rank, lHubs(v), lDists(v))
-        }
-        v += 1
-      }
-      // Clean only the local candidates against global(·) ++ local(·).
-      val redundant   = new Array[Array[Boolean]](n)
-      val cleanCursor = new AtomicInteger(0)
-      val cleaners = (0 until threads).map { _ =>
+      val redundant = new Array[Array[Boolean]](b - a)
+      val cleanPos  = new AtomicInteger(a)
+      val cleaners = (0 until threads).map { t =>
         new Thread(() => {
-          var done = false
-          while (!done) {
-            val cv = cleanCursor.getAndIncrement()
-            if (cv >= n) done = true
-            else if (lHubs(cv).nonEmpty) {
-              val marks = new Array[Boolean](lHubs(cv).length)
-              var i = 0
-              while (i < lHubs(cv).length) {
-                marks(i) = isRedundantConcat(rank, global, lHubs, lDists,
-                  cv, lHubs(cv)(i), lDists(cv)(i))
-                i += 1
-              }
-              redundant(cv) = marks
+          val scratch = scratches(t)
+          var p = cleanPos.getAndIncrement()
+          while (p < b) {
+            val h  = rank.order(p)
+            val tv = treeV(p); val td = treeD(p)
+            scratch.reset()
+            view.appendRootSnapshot(h, scratch)
+            val marks = new Array[Boolean](tv.length)
+            var i = 0
+            while (i < tv.length) {
+              val gv = global.bufs(tv(i)); val lv = local.bufs(tv(i))
+              marks(i) =
+                Cleaning.isRedundant(rank, h, td(i), scratch.rootDist, gv.hubs, gv.dists, gv.size) ||
+                  Cleaning.isRedundant(rank, h, td(i), scratch.rootDist, lv.hubs, lv.dists, lv.size)
+              i += 1
             }
+            redundant(p - a) = marks
+            p = cleanPos.getAndIncrement()
           }
         })
       }
       cleaners.foreach(_.start())
       cleaners.foreach(_.join())
-      // Append survivors (already rank-sorted, all below existing hubs).
-      v = 0
-      while (v < n) {
-        val lh = lHubs(v)
-        if (lh.nonEmpty) {
-          val marks = redundant(v)
-          var i = 0
-          while (i < lh.length) {
-            if (marks(i)) removed += 1
-            else global.add(v, lh(i), lDists(v)(i))
-            i += 1
-          }
+      // Append survivors root by root: every hub of this superstep ranks
+      // below every hub already in global, so its lists stay rank-sorted.
+      var p = a
+      while (p < b) {
+        val h  = rank.order(p)
+        val tv = treeV(p); val td = treeD(p); val marks = redundant(p - a)
+        var i = 0
+        while (i < tv.length) {
+          if (marks(i)) removed += 1
+          else global.add(tv(i), h, td(i))
+          i += 1
         }
-        v += 1
+        treeV(p) = null; treeD(p) = null
+        p += 1
       }
       cleanNs += System.nanoTime() - ts
     }
 
-    // The append-only commit discipline left every global list rank-sorted,
-    // so the final labeling is a straight copy — no re-sort.
-    val hubs  = Array.tabulate(n)(v => java.util.Arrays.copyOf(global.bufs(v).hubs, global.bufs(v).size))
-    val dists = Array.tabulate(n)(v => java.util.Arrays.copyOf(global.bufs(v).dists, global.bufs(v).size))
-    val labeling = new Labeling(n, hubs, dists, rank)
     Result(
-      labeling = labeling,
+      labeling = global.toLabeling(rank),
       timeMs = (System.nanoTime() - t0) / 1000000,
       constructMs = constructNs / 1000000,
       cleanMs = cleanNs / 1000000,
@@ -166,54 +171,18 @@ object GLL {
     )
   }
 
-  /** `DQ_Clean` over the concatenated rank-descending views
-    * `global(x) ++ localSorted(x)` for `x ∈ {v, h}`: find the first common
-    * hub meeting the distance condition; redundant iff it outranks `h`.
-    */
-  private def isRedundantConcat(
-      rank: Ranking,
-      global: LabelBuffers,
-      lHubs: Array[Array[Int]], lDists: Array[Array[Long]],
-      v: Int, h: Int, delta: Long,
-  ): Boolean = {
-    val gv = global.bufs(v); val gh = global.bufs(h)
-    val lv = lHubs(v); val lvd = lDists(v)
-    val lh = lHubs(h); val lhd = lDists(h)
-    val lenV = gv.size + lv.length
-    val lenH = gh.size + lh.length
-    @inline def hubV(i: Int)  = if (i < gv.size) gv.hubs(i) else lv(i - gv.size)
-    @inline def distV(i: Int) = if (i < gv.size) gv.dists(i) else lvd(i - gv.size)
-    @inline def hubH(i: Int)  = if (i < gh.size) gh.hubs(i) else lh(i - gh.size)
-    @inline def distH(i: Int) = if (i < gh.size) gh.dists(i) else lhd(i - gh.size)
-    val rh = rank(h)
-    var i = 0; var j = 0
-    while (i < lenV && j < lenH) {
-      val ri = rank(hubV(i)); val rj = rank(hubH(j))
-      if (ri == rj) {
-        if (distV(i) + distH(j) <= delta) return ri > rh
-        i += 1; j += 1
-      } else if (ri > rj) i += 1
-      else j += 1
-    }
-    false
-  }
+  /** One construction thread's growable `(v, d)` record of its current tree. */
+  private final class TreeBuffer {
+    var v: Array[Int]  = new Array[Int](64)
+    var d: Array[Long] = new Array[Long](64)
+    var size: Int      = 0
 
-  /** Merge two rank-descending label lists into one (both already sorted). */
-  private[core] def mergeByRank(
-      rank: Ranking,
-      h1: Array[Int], d1: Array[Long],
-      h2: Array[Int], d2: Array[Long],
-  ): (Array[Int], Array[Long]) = {
-    val mh = new Array[Int](h1.length + h2.length)
-    val md = new Array[Long](h1.length + h2.length)
-    var i = 0; var j = 0; var k = 0
-    while (i < h1.length && j < h2.length) {
-      if (rank(h1(i)) >= rank(h2(j))) { mh(k) = h1(i); md(k) = d1(i); i += 1 }
-      else { mh(k) = h2(j); md(k) = d2(j); j += 1 }
-      k += 1
+    def add(vv: Int, dd: Long): Unit = {
+      if (size == v.length) {
+        v = java.util.Arrays.copyOf(v, size * 2)
+        d = java.util.Arrays.copyOf(d, size * 2)
+      }
+      v(size) = vv; d(size) = dd; size += 1
     }
-    while (i < h1.length) { mh(k) = h1(i); md(k) = d1(i); i += 1; k += 1 }
-    while (j < h2.length) { mh(k) = h2(j); md(k) = d2(j); j += 1; k += 1 }
-    (mh, md)
   }
 }

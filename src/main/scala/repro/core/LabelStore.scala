@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
 import repro.graph.Ranking
 
 /** Growable per-vertex label lists used during construction.
@@ -31,25 +30,25 @@ final class LabelBuffers(val n: Int, val threadSafe: Boolean) extends Serializab
   def add(v: Int, h: Int, d: Long): Unit =
     if (threadSafe) bufs(v).synchronized(bufs(v).add(h, d)) else bufs(v).add(h, d)
 
-  /** Copy `L_root` entries into the hub→dist snapshot map. */
-  def appendRootSnapshot(root: Int, into: mutable.LongMap[Long]): Unit = {
+  /** Copy `L_root` entries into the scratch's root snapshot. */
+  def appendRootSnapshot(root: Int, into: DijkstraScratch): Unit = {
     val b = bufs(root)
     def copy(): Unit = {
       var i = 0
-      while (i < b.size) { into(b.hubs(i).toLong) = b.dists(i); i += 1 }
+      while (i < b.size) { into.snap(b.hubs(i), b.dists(i)); i += 1 }
     }
     if (threadSafe) b.synchronized(copy()) else copy()
   }
 
   /** Distance query against this table: true iff some hub of `v` also in
-    * `rootMap` gives a path `<= delta`.
+    * the root snapshot `rootDist` gives a path `<= delta`.
     */
-  def covered(v: Int, rootMap: mutable.LongMap[Long], delta: Long): Boolean = {
+  def covered(v: Int, rootDist: Array[Long], delta: Long): Boolean = {
     val b = bufs(v)
     def scan(): Boolean = {
       var i = 0
       while (i < b.size) {
-        val d2 = rootMap.getOrElse(b.hubs(i).toLong, -1L)
+        val d2 = rootDist(b.hubs(i))
         if (d2 >= 0 && b.dists(i) + d2 <= delta) return true
         i += 1
       }
@@ -64,6 +63,15 @@ final class LabelBuffers(val n: Int, val threadSafe: Boolean) extends Serializab
     s
   }
 
+  /** A copy as a [[Labeling]]; every list must already be rank-descending,
+    * as the rank-ordered root loops of SeqPLL and GLL's commit leave them.
+    */
+  def toLabeling(rank: Ranking): Labeling =
+    new Labeling(n,
+      Array.tabulate(n)(v => java.util.Arrays.copyOf(bufs(v).hubs, bufs(v).size)),
+      Array.tabulate(n)(v => java.util.Arrays.copyOf(bufs(v).dists, bufs(v).size)),
+      rank)
+
   def triples: Iterator[LabelTriple] =
     (0 until n).iterator.flatMap { v =>
       val b = bufs(v)
@@ -75,30 +83,32 @@ final class LabelBuffers(val n: Int, val threadSafe: Boolean) extends Serializab
   * composition of the tables visible to the executing thread/node.
   */
 trait LabelView {
-  /** Add all of `L_root` from this view into the snapshot map. */
-  def appendRootSnapshot(root: Int, into: mutable.LongMap[Long]): Unit
-  /** True iff the view proves `SP(root, v) <= delta` is already covered. */
-  def covered(v: Int, root: Int, rootMap: mutable.LongMap[Long], delta: Long): Boolean
+  /** Add all of `L_root` from this view to the scratch's root snapshot. */
+  def appendRootSnapshot(root: Int, into: DijkstraScratch): Unit
+  /** True iff the view proves `SP(root, v) <= delta` is already covered,
+    * given the root snapshot `rootDist` (see [[DijkstraScratch]]).
+    */
+  def covered(v: Int, root: Int, rootDist: Array[Long], delta: Long): Boolean
 }
 
 object LabelView {
   final class OfBuffers(b: LabelBuffers) extends LabelView {
-    def appendRootSnapshot(root: Int, into: mutable.LongMap[Long]): Unit = b.appendRootSnapshot(root, into)
-    def covered(v: Int, root: Int, rootMap: mutable.LongMap[Long], delta: Long): Boolean =
-      b.covered(v, rootMap, delta)
+    def appendRootSnapshot(root: Int, into: DijkstraScratch): Unit = b.appendRootSnapshot(root, into)
+    def covered(v: Int, root: Int, rootDist: Array[Long], delta: Long): Boolean =
+      b.covered(v, rootDist, delta)
   }
 
   final class OfLabeling(l: Labeling) extends LabelView {
-    def appendRootSnapshot(root: Int, into: mutable.LongMap[Long]): Unit = {
+    def appendRootSnapshot(root: Int, into: DijkstraScratch): Unit = {
       val hs = l.hubs(root); val ds = l.dists(root)
       var i = 0
-      while (i < hs.length) { into(hs(i).toLong) = ds(i); i += 1 }
+      while (i < hs.length) { into.snap(hs(i), ds(i)); i += 1 }
     }
-    def covered(v: Int, root: Int, rootMap: mutable.LongMap[Long], delta: Long): Boolean = {
+    def covered(v: Int, root: Int, rootDist: Array[Long], delta: Long): Boolean = {
       val hs = l.hubs(v); val ds = l.dists(v)
       var i = 0
       while (i < hs.length) {
-        val d2 = rootMap.getOrElse(hs(i).toLong, -1L)
+        val d2 = rootDist(hs(i))
         if (d2 >= 0 && ds(i) + d2 <= delta) return true
         i += 1
       }
@@ -107,15 +117,16 @@ object LabelView {
   }
 
   final class Composite(views: Seq[LabelView]) extends LabelView {
-    def appendRootSnapshot(root: Int, into: mutable.LongMap[Long]): Unit =
-      views.foreach(_.appendRootSnapshot(root, into))
-    def covered(v: Int, root: Int, rootMap: mutable.LongMap[Long], delta: Long): Boolean =
-      views.exists(_.covered(v, root, rootMap, delta))
-  }
-
-  val Empty: LabelView = new LabelView {
-    def appendRootSnapshot(root: Int, into: mutable.LongMap[Long]): Unit = ()
-    def covered(v: Int, root: Int, rootMap: mutable.LongMap[Long], delta: Long): Boolean = false
+    private val vs = views.toArray
+    def appendRootSnapshot(root: Int, into: DijkstraScratch): Unit = {
+      var i = 0
+      while (i < vs.length) { vs(i).appendRootSnapshot(root, into); i += 1 }
+    }
+    def covered(v: Int, root: Int, rootDist: Array[Long], delta: Long): Boolean = {
+      var i = 0
+      while (i < vs.length) { if (vs(i).covered(v, root, rootDist, delta)) return true; i += 1 }
+      false
+    }
   }
 }
 
@@ -123,31 +134,32 @@ object LabelView {
   * is redundant iff a common hub `w` of `v` and `h` satisfies
   * `d(w,v)+d(w,h) <= delta` with `R(w) > R(h)`.
   *
-  * Both label lists must be sorted by rank descending; the merge stops at
-  * the first common hub meeting the distance condition (footnote 3: it is
-  * also the highest-ranked witness — `h` itself always qualifies via its
-  * self-label, terminating the scan with "not redundant").
+  * Cleaning runs tree by tree: `L_h` is copied once into a dense snapshot
+  * (`DijkstraScratch.rootDist`) and every label of `h`'s tree scans its own
+  * `L_v`. The rank-ordered merge this replaces answers "redundant" iff the
+  * highest-ranked common hub meeting the distance condition outranks `h`;
+  * that holds iff *any* such hub outranks `h`, so neither list needs to be
+  * sorted and the scan order does not matter. `h` itself (its self-label
+  * is in the snapshot) meets the condition but never outranks itself.
   */
 object Cleaning {
-  /** Checks the first `lenV` / `lenH` entries of each list, so growable
-    * buffers are checked in place.
+  /** True iff a witness for `(h, delta)` lies among the first `lenV`
+    * entries of `(hubsV, distsV)`, a part of `L_v`, given `rootDist`, the
+    * snapshot of `L_h`. The rank check runs only on a hit.
     */
   def isRedundant(
       rank: Ranking,
       h: Int,
       delta: Long,
+      rootDist: Array[Long],
       hubsV: Array[Int], distsV: Array[Long], lenV: Int,
-      hubsH: Array[Int], distsH: Array[Long], lenH: Int,
   ): Boolean = {
     val rh = rank(h)
-    var i = 0; var j = 0
-    while (i < lenV && j < lenH) {
-      val ri = rank(hubsV(i)); val rj = rank(hubsH(j))
-      if (ri == rj) {
-        if (distsV(i) + distsH(j) <= delta) return ri > rh
-        i += 1; j += 1
-      } else if (ri > rj) i += 1
-      else j += 1
+    var i = 0
+    while (i < lenV) {
+      val w = hubsV(i); val dw = rootDist(w)
+      if (dw >= 0 && distsV(i) + dw <= delta && rank(w) > rh) return true
+      i += 1
     }
     false
   }

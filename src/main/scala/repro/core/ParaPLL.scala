@@ -6,8 +6,9 @@ import repro.graph.{CsrGraph, Ranking}
 /** Shared-memory paraPLL (Qiu et al.) — the paper's SparaPLL baseline.
   *
   * Concurrent pruned-Dijkstra instances with dynamic task assignment over
-  * the rank-ordered queue and a hash snapshot of the root's labels taken
-  * before each tree launch — but **no rank queries and no cleaning**, so
+  * the rank-ordered queue and a snapshot of the root's labels taken before
+  * each tree launch (a dense per-thread hub→distance array in
+  * [[DijkstraScratch]]) — but **no rank queries and no cleaning**, so
   * the output satisfies the cover property (exact distances) yet is *not*
   * canonical: ALS ≥ CHL ALS, and the gap grows with thread count.
   */

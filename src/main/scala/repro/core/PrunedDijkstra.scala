@@ -1,29 +1,47 @@
 package repro.core
 
-import scala.collection.mutable
 import repro.graph.{CsrGraph, Dijkstra, LongMinHeap, Ranking}
 
 /** Reusable per-thread scratch for repeated Dijkstra runs — footnote 2 of
   * the paper: initialization only touches elements modified by the previous
   * run.
+  *
+  * It also holds the dense root snapshot both label-set queries read (as in
+  * PLL): `rootDist(h)` is the root's distance to hub `h`, `-1` where the
+  * root has no label for `h`. [[reset]] clears only the entries set since
+  * the last reset, so a stale entry never leaks into the next tree.
   */
 final class DijkstraScratch(n: Int) {
   val dist: Array[Long] = Array.fill(n)(Dijkstra.Inf)
   val anc: Array[Int]   = new Array[Int](n)       // PLaNT ancestor array
   val settled: Array[Boolean] = new Array[Boolean](n)
   val heap = new LongMinHeap(64)
-  private val touched = new mutable.ArrayBuffer[Int](64)
+  val rootDist: Array[Long] = Array.fill(n)(-1L)
+  // a vertex is touched (and a hub snapshotted) at most once per run
+  private val touched = new Array[Int](n)
+  private var nTouched = 0
+  private val snapped = new Array[Int](n)
+  private var nSnapped = 0
 
-  def touch(v: Int): Unit = touched += v
+  def touch(v: Int): Unit = { touched(nTouched) = v; nTouched += 1 }
+
+  /** Records the root label `(h, d)` in the snapshot. */
+  def snap(h: Int, d: Long): Unit = {
+    if (rootDist(h) < 0) { snapped(nSnapped) = h; nSnapped += 1 }
+    rootDist(h) = d
+  }
 
   def reset(): Unit = {
     var i = 0
-    while (i < touched.length) {
+    while (i < nTouched) {
       val v = touched(i)
       dist(v) = Dijkstra.Inf; settled(v) = false
       i += 1
     }
-    touched.clear()
+    nTouched = 0
+    i = 0
+    while (i < nSnapped) { rootDist(snapped(i)) = -1L; i += 1 }
+    nSnapped = 0
     heap.clear()
   }
 }
@@ -40,8 +58,9 @@ object PrunedDijkstra {
     *                    above the root — LCC's crucial addition; paraPLL
     *                    runs with this off
     * @param view        tables consulted by distance queries; the root's
-    *                    label set is snapshotted (hashed) once up front,
-    *                    like paraPLL/PLL's `hash(L_h)`
+    *                    label set is copied once up front into the dense
+    *                    snapshot `scratch.rootDist`, so each query is one
+    *                    array lookup per label of `v`, like PLL's `L_h` array
     * @param sink        called with `(v, dist)` for every label generated
     * @return            number of vertices settled (explored)
     */
@@ -57,8 +76,8 @@ object PrunedDijkstra {
     scratch.reset()
     val dist = scratch.dist
     val heap = scratch.heap
-    val rootMap = new mutable.LongMap[Long](64)
-    view.appendRootSnapshot(root, rootMap)
+    val rootDist = scratch.rootDist
+    view.appendRootSnapshot(root, scratch)
 
     dist(root) = 0
     scratch.touch(root)
@@ -71,7 +90,7 @@ object PrunedDijkstra {
         scratch.settled(v) = true
         explored += 1
         val rankPruned = rankQueries && rank(v) > rank(root)
-        if (!rankPruned && !view.covered(v, root, rootMap, d)) {
+        if (!rankPruned && !view.covered(v, root, rootDist, d)) {
           sink(v, d)
           var e = g.offsets(v)
           while (e < g.offsets(v + 1)) {

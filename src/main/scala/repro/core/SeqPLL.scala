@@ -24,7 +24,7 @@ object SeqPLL {
         sink = (v, d) => buffers.add(v, root, d))
       i += 1
     }
-    val labeling = Labeling.fromTriples(g.n, rank, buffers.triples)
-    Result(labeling, (System.nanoTime() - t0) / 1000000, explored)
+    // roots ran in rank order, so every list is already rank-descending
+    Result(buffers.toLabeling(rank), (System.nanoTime() - t0) / 1000000, explored)
   }
 }

@@ -196,18 +196,23 @@ object DGLL {
         val rk   = bcRank.value
         val cand = bcCand.value
         // per-vertex lists of the labels whose hub this node owns: its
-        // stored labels, then this superstep's candidates generated here —
-        // both in root order, so every list is rank-descending
+        // stored labels, then this superstep's candidates generated here
         val lab = cand(pid).addTo(it.next().index(rk.n))
         val res = new Array[Boolean](total)
+        val scratch = new DijkstraScratch(rk.n)
         var k = 0
         cand.foreach { c =>
           var i = 0
           while (i < c.size) {
-            val bv = lab.bufs(c.v(i)); val bh = lab.bufs(c.h(i))
-            res(k) = Cleaning.isRedundant(rk, c.h(i), c.d(i),
-              bv.hubs, bv.dists, bv.size, bh.hubs, bh.dists, bh.size)
-            i += 1; k += 1
+            // one run per root: snapshot lab(h) once for all its labels
+            val h = c.h(i)
+            scratch.reset()
+            lab.appendRootSnapshot(h, scratch)
+            while (i < c.size && c.h(i) == h) {
+              val bv = lab.bufs(c.v(i))
+              res(k) = Cleaning.isRedundant(rk, h, c.d(i), scratch.rootDist, bv.hubs, bv.dists, bv.size)
+              i += 1; k += 1
+            }
           }
         }
         Iterator.single(res)
@@ -227,7 +232,7 @@ object DGLL {
   * queries directly from the replicated top-η hub labels.
   */
 final class HcView(hc: CommonTable, rank: Ranking) extends LabelView {
-  def appendRootSnapshot(root: Int, into: mutable.LongMap[Long]): Unit = ()
-  def covered(v: Int, root: Int, rootMap: mutable.LongMap[Long], delta: Long): Boolean =
+  def appendRootSnapshot(root: Int, into: DijkstraScratch): Unit = ()
+  def covered(v: Int, root: Int, rootDist: Array[Long], delta: Long): Boolean =
     hc.covered(v, root, delta, rank)
 }

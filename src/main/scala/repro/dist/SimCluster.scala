@@ -10,8 +10,9 @@ import repro.graph.Ranking
   *
   * A node stores exactly the labels of the hubs it owns, and every append
   * adds the labels of roots further down the rank order than any already
-  * stored; so in column order each vertex's hubs are rank-descending, which
-  * is what [[index]]'s per-vertex lists and the cleaning merge rely on.
+  * stored; so in column order each vertex's hubs are rank-descending. A
+  * block a superstep or batch produces holds one contiguous run of labels
+  * per root, in root order, which DGLL's commit and cleaning rely on.
   */
 final class NodeLabels(val v: Array[Int], val h: Array[Int], val d: Array[Long]) extends Serializable {
   def size: Int = v.length

@@ -33,10 +33,22 @@ final class CsrGraph(
   def degree(v: Int): Int = offsets(v + 1) - offsets(v)
 
   /** Maximum edge weight, 0 for an edgeless graph. */
-  lazy val maxWeight: Int = if (wts.isEmpty) 0 else wts.max
+  val maxWeight: Int = {
+    var m = 0; var i = 0
+    while (i < wts.length) { if (wts(i) > m) m = wts(i); i += 1 }
+    m
+  }
 
   /** An upper bound on any finite shortest-path distance. */
   def distanceBound: Long = maxWeight.toLong * n + 1
+
+  // Every Dijkstra heap key is a vertex and a distance of at most
+  // `maxWeight * (n-1)`, so these two checks keep every push in range.
+  require(n <= LongMinHeap.MaxVertices,
+    s"n=$n vertices exceeds the limit of ${LongMinHeap.MaxVertices} (2^21) of the Dijkstra heap")
+  require(distanceBound < LongMinHeap.MaxDistance,
+    s"distance bound $distanceBound (max weight $maxWeight x n=$n) reaches the limit " +
+      s"${LongMinHeap.MaxDistance} (2^42) of the Dijkstra heap")
 }
 
 object CsrGraph {

@@ -76,15 +76,14 @@ object Dijkstra {
   * single Long (`dist << 21 | v`). Lazy deletion: callers push duplicates
   * and skip stale pops by comparing against their dist array.
   *
-  * Packing limits: `n < 2^21` vertices and distances `< 2^42` — far beyond
-  * anything this reproduction instantiates (asserted in `push`).
+  * Packing limits: vertices `< 2^21` and distances `< 2^42`, checked once
+  * for every graph when its [[CsrGraph]] is built, not on each push.
   */
 final class LongMinHeap(initialCapacity: Int) {
+  import LongMinHeap.{VBits, VMask}
+
   private var arr  = new Array[Long](math.max(4, initialCapacity))
   private var size = 0
-
-  private final val VBits = 21
-  private final val VMask = (1L << VBits) - 1
 
   def nonEmpty: Boolean = size > 0
   def isEmpty: Boolean  = size == 0
@@ -93,8 +92,6 @@ final class LongMinHeap(initialCapacity: Int) {
   def topVertex: Int = (arr(0) & VMask).toInt
 
   def push(dist: Long, v: Int): Unit = {
-    require(v >= 0 && v < (1 << VBits) && dist >= 0 && dist < (1L << (63 - VBits)),
-      s"heap packing overflow: dist=$dist v=$v")
     if (size == arr.length) arr = java.util.Arrays.copyOf(arr, arr.length * 2)
     var i = size
     arr(i) = (dist << VBits) | v
@@ -122,4 +119,14 @@ final class LongMinHeap(initialCapacity: Int) {
   }
 
   def clear(): Unit = size = 0
+}
+
+object LongMinHeap {
+  private final val VBits = 21
+  private final val VMask = (1L << VBits) - 1
+
+  /** Vertices must be below this. */
+  final val MaxVertices: Int = 1 << VBits
+  /** Distances must be below this. */
+  final val MaxDistance: Long = 1L << (63 - VBits)
 }

@@ -61,34 +61,50 @@ object Ranking {
     val score = new Array[Double](n)
     val rnd   = new scala.util.Random(seed)
     val sources = if (n <= samples) (0 until n).toArray else Array.fill(samples)(rnd.nextInt(n))
+    val dist  = new Array[Long](n)
+    val sigma = new Array[Double](n)
+    val delta = new Array[Double](n)
+    // Predecessor lists as linked lists in primitive arrays, newest first:
+    // `predHead(u)` indexes `predV`/`predNext`, −1 ends a list. Each arc is
+    // relaxed at most once per source, so `arcCount` entries suffice.
+    val predHead = new Array[Int](n)
+    val predV    = new Array[Int](g.arcCount)
+    val predNext = new Array[Int](g.arcCount)
+    val settledOrder = new Array[Int](n)
+    val heap = new LongMinHeap(64)
     for (s <- sources) {
-      val dist  = Array.fill[Long](n)(Dijkstra.Inf)
-      val sigma = new Array[Double](n)
-      val preds = Array.fill(n)(List.empty[Int])
-      val heap  = new LongMinHeap(64)
-      val settledOrder = new scala.collection.mutable.ArrayBuffer[Int]
+      java.util.Arrays.fill(dist, Dijkstra.Inf)
+      java.util.Arrays.fill(sigma, 0.0)
+      java.util.Arrays.fill(predHead, -1)
+      var preds = 0; var settled = 0
       dist(s) = 0; sigma(s) = 1.0; heap.push(0, s)
       while (heap.nonEmpty) {
         val d = heap.topDist; val v = heap.topVertex; heap.pop()
         if (d == dist(v)) {
-          settledOrder += v
+          settledOrder(settled) = v; settled += 1
           var e = g.offsets(v)
           while (e < g.offsets(v + 1)) {
             val u = g.nbrs(e); val nd = d + g.wts(e)
-            if (nd < dist(u)) {
-              dist(u) = nd; sigma(u) = sigma(v); preds(u) = List(v); heap.push(nd, u)
-            } else if (nd == dist(u)) {
-              sigma(u) += sigma(v); preds(u) ::= v
+            if (nd <= dist(u)) {
+              if (nd < dist(u)) {
+                dist(u) = nd; sigma(u) = sigma(v); predHead(u) = -1; heap.push(nd, u)
+              } else sigma(u) += sigma(v)
+              predV(preds) = v; predNext(preds) = predHead(u); predHead(u) = preds; preds += 1
             }
             e += 1
           }
         }
       }
-      val delta = new Array[Double](n)
-      var i = settledOrder.length - 1
+      java.util.Arrays.fill(delta, 0.0)
+      var i = settled - 1
       while (i >= 0) {
         val w = settledOrder(i)
-        for (p <- preds(w)) delta(p) += sigma(p) / sigma(w) * (1.0 + delta(w))
+        var k = predHead(w)
+        while (k >= 0) {
+          val p = predV(k)
+          delta(p) += sigma(p) / sigma(w) * (1.0 + delta(w))
+          k = predNext(k)
+        }
         if (w != s) score(w) += delta(w)
         i -= 1
       }

@@ -89,18 +89,6 @@ object CoreProperties extends Properties("repro.core") {
       (0 until g.n).forall(u => (0 until g.n).forall(v => l.query(u, v) == d(u)(v)))
     }
 
-  property("mergeByRank keeps rank-descending order and all elements") =
-    Prop.forAll(graphWithRank, Gen.choose(0L, 1000L)) { case ((g, r), seed) =>
-      val rnd  = new scala.util.Random(seed)
-      val all  = rnd.shuffle((0 until g.n).toList)
-      val (xs, ys) = all.splitAt(rnd.nextInt(all.size + 1))
-      def sorted(vs: List[Int]) = vs.sortBy(v => -r(v)).toArray
-      val (h1, h2) = (sorted(xs), sorted(ys))
-      val (mh, _)  = GLL.mergeByRank(r, h1, h1.map(_.toLong), h2, h2.map(_.toLong))
-      val ordered  = mh.toSeq.zip(mh.toSeq.tail).forall { case (a, b) => r(a) >= r(b) }
-      ordered && mh.sorted.sameElements((h1 ++ h2).sorted)
-    }
-
   property("labeling query is symmetric") =
     Prop.forAll(graphWithRank) { case (g, r) =>
       val l = SeqPLL.run(g, r).labeling

@@ -61,33 +61,32 @@ class LabelingSpec extends AnyFunSuite {
     assert(l.query(0, 1) == l.query(1, 0))
   }
 
-  test("mergeByRank merges two sorted lists stably") {
-    val (mh, md) = GLL.mergeByRank(rank,
-      Array(3, 1), Array(10L, 30L),
-      Array(2, 0), Array(20L, 40L))
-    assert(mh.toSeq == Seq(3, 2, 1, 0))
-    assert(md.toSeq == Seq(10L, 20L, 30L, 40L))
+  /** The dense snapshot of `L_h` the cleaning kernel reads. */
+  private def snapshot(n: Int, hubs: Array[Int], dists: Array[Long]): Array[Long] = {
+    val scratch = new DijkstraScratch(n)
+    hubs.indices.foreach(i => scratch.snap(hubs(i), dists(i)))
+    scratch.rootDist
   }
 
   test("Cleaning.isRedundant: higher-ranked witness on the path") {
-    // L_v = {(3,2),(1,4)}, L_1 = {(3,2),(1,0)}; label (1,4) of v:
-    // witness hub 3 with 2+2 <= 4 and rank(3) > rank(1) → redundant
-    val lv = (Array(3, 1), Array(2L, 4L))
-    val lh = (Array(3, 1), Array(2L, 0L))
-    assert(Cleaning.isRedundant(rank, 1, 4L, lv._1, lv._2, lv._1.length, lh._1, lh._2, lh._1.length))
+    // L_v = {(1,4),(3,2)} in any order, L_1 = {(3,2),(1,0)}; label (1,4)
+    // of v: witness hub 3 with 2+2 <= 4 and rank(3) > rank(1) → redundant
+    val lv = (Array(1, 3), Array(4L, 2L))
+    val rootDist = snapshot(4, Array(3, 1), Array(2L, 0L))
+    assert(Cleaning.isRedundant(rank, 1, 4L, rootDist, lv._1, lv._2, lv._1.length))
   }
 
   test("Cleaning.isRedundant: self-witness terminates as non-redundant") {
     val lv = (Array(3, 1), Array(9L, 4L)) // hub 3 too far: 9+2 > 4
-    val lh = (Array(3, 1), Array(2L, 0L))
-    assert(!Cleaning.isRedundant(rank, 1, 4L, lv._1, lv._2, lv._1.length, lh._1, lh._2, lh._1.length))
+    val rootDist = snapshot(4, Array(3, 1), Array(2L, 0L))
+    assert(!Cleaning.isRedundant(rank, 1, 4L, rootDist, lv._1, lv._2, lv._1.length))
   }
 
   test("Cleaning.isRedundant: witness must outrank the hub") {
     // common hub 0 meets the distance condition but ranks below hub 2
     val r3 = Ranking.identity(3)
     val lv = (Array(2, 0), Array(4L, 1L))
-    val lh = (Array(2, 0), Array(0L, 3L))
-    assert(!Cleaning.isRedundant(r3, 2, 4L, lv._1, lv._2, lv._1.length, lh._1, lh._2, lh._1.length))
+    val rootDist = snapshot(3, Array(2, 0), Array(0L, 3L))
+    assert(!Cleaning.isRedundant(r3, 2, 4L, rootDist, lv._1, lv._2, lv._1.length))
   }
 }

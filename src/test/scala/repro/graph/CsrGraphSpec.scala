@@ -50,6 +50,18 @@ class CsrGraphSpec extends AnyFunSuite {
     assert(g.distanceBound == 9L * 3 + 1)
   }
 
+  test("rejects graphs beyond the Dijkstra heap's packing limits") {
+    // one vertex too many for the heap's 21-bit vertex field
+    val tooMany = intercept[IllegalArgumentException](CsrGraph.fromEdges((1 << 21) + 1, Seq.empty))
+    assert(tooMany.getMessage.contains("2097153 vertices exceeds the limit of 2097152"))
+    assert(CsrGraph.fromEdges(1 << 21, Seq.empty).n == (1 << 21))
+    // 2100 * Int.MaxValue > 2^42: a shortest path could overflow the key
+    val tooFar = intercept[IllegalArgumentException](
+      CsrGraph.fromEdges(2100, Seq((0, 1, Int.MaxValue))))
+    assert(tooFar.getMessage.contains("reaches the limit 4398046511104 (2^42)"))
+    assert(CsrGraph.fromEdges(2000, Seq((0, 1, Int.MaxValue))).n == 2000)
+  }
+
   test("adjacency lists contain exactly the inserted neighbors") {
     val g = CsrGraph.fromEdges(4, Seq((0, 1, 1), (0, 2, 2), (1, 3, 3)))
     val n0 = (g.offsets(0) until g.offsets(1)).map(g.nbrs).toSet

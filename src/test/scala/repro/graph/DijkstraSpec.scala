@@ -54,10 +54,4 @@ class DijkstraSpec extends AnyFunSuite {
     }
     assert(count == 500)
   }
-
-  test("LongMinHeap rejects packing overflow") {
-    val h = new LongMinHeap(4)
-    assertThrows[IllegalArgumentException](h.push(-1, 0))
-    assertThrows[IllegalArgumentException](h.push(0, 1 << 22))
-  }
 }
