@@ -52,8 +52,7 @@ object GLL {
     // append-only commit discipline above. Written only at superstep
     // barriers, so construction threads read it lock-free (the paper's
     // lock-avoidance point).
-    val global     = new LabelBuffers(n, threadSafe = false)
-    val globalView = new LabelView.OfBuffers(global)
+    val global = new LabelBuffers(n, threadSafe = false)
     // The labels `(treeV(p)(i), treeD(p)(i))` of the tree rooted at rank
     // position `p`, kept from its construction until its superstep commits.
     val treeV = new Array[Array[Int]](n)
@@ -74,7 +73,7 @@ object GLL {
       val a              = rootPos.get()
       val local          = new LabelBuffers(n, threadSafe = true)
       val labelsThisStep = new AtomicLong(0)
-      val view = new LabelView.Composite(Seq(globalView, new LabelView.OfBuffers(local)))
+      val tables         = Array(global, local)
 
       val tc = System.nanoTime()
       val workers = (0 until threads).map { t =>
@@ -91,7 +90,7 @@ object GLL {
                 val root = rank.order(i)
                 out.size = 0
                 val e = PrunedDijkstra.buildTree(
-                  g, rank, root, view, rankQueries = true, scratch,
+                  g, rank, root, tables, rankQueries = true, scratch,
                   sink = (v, d) => { local.add(v, root, d); out.add(v, d) })
                 treeV(i) = java.util.Arrays.copyOf(out.v, out.size)
                 treeD(i) = java.util.Arrays.copyOf(out.d, out.size)
@@ -124,7 +123,8 @@ object GLL {
             val h  = rank.order(p)
             val tv = treeV(p); val td = treeD(p)
             scratch.reset()
-            view.appendRootSnapshot(h, scratch)
+            global.appendRootSnapshot(h, scratch)
+            local.appendRootSnapshot(h, scratch)
             val marks = new Array[Boolean](tv.length)
             var i = 0
             while (i < tv.length) {

@@ -2,16 +2,18 @@ package repro.core
 
 import repro.graph.Ranking
 
-/** Growable per-vertex label lists used during construction.
+/** Growable per-vertex label lists: the one table layout every distance
+  * query reads — GLL's global and local tables, a DGLL node's exchanged,
+  * own and superstep-local labels, and the Common Label Table.
   *
   * When `threadSafe` the per-vertex buffer object is its own lock — LCC and
   * paraPLL lock only the vertex being read/appended (the paper's point that
-  * dynamic label arrays must be locked). GLL's *global* table is an
-  * immutable [[Labeling]] read lock-free; only this local table locks.
+  * dynamic label arrays must be locked). Tables written only between
+  * barriers (GLL's global table, DGLL's broadcast ones) are read lock-free.
   */
 final class LabelBuffers(val n: Int, val threadSafe: Boolean) extends Serializable {
 
-  final class Buf {
+  final class Buf extends Serializable {
     var hubs: Array[Int]   = new Array[Int](4)
     var dists: Array[Long] = new Array[Long](4)
     var size: Int          = 0
@@ -63,71 +65,15 @@ final class LabelBuffers(val n: Int, val threadSafe: Boolean) extends Serializab
     s
   }
 
-  /** A copy as a [[Labeling]]; every list must already be rank-descending,
-    * as the rank-ordered root loops of SeqPLL and GLL's commit leave them.
+  /** A copy as a [[Labeling]], keeping each list's order: rank-descending
+    * as the rank-ordered root loops of SeqPLL and GLL's commit leave them,
+    * or sorted by the caller.
     */
   def toLabeling(rank: Ranking): Labeling =
     new Labeling(n,
       Array.tabulate(n)(v => java.util.Arrays.copyOf(bufs(v).hubs, bufs(v).size)),
       Array.tabulate(n)(v => java.util.Arrays.copyOf(bufs(v).dists, bufs(v).size)),
       rank)
-
-  def triples: Iterator[LabelTriple] =
-    (0 until n).iterator.flatMap { v =>
-      val b = bufs(v)
-      (0 until b.size).iterator.map(i => LabelTriple(v, b.hubs(i), b.dists(i)))
-    }
-}
-
-/** What a pruned-Dijkstra tree build can consult for distance queries —
-  * composition of the tables visible to the executing thread/node.
-  */
-trait LabelView {
-  /** Add all of `L_root` from this view to the scratch's root snapshot. */
-  def appendRootSnapshot(root: Int, into: DijkstraScratch): Unit
-  /** True iff the view proves `SP(root, v) <= delta` is already covered,
-    * given the root snapshot `rootDist` (see [[DijkstraScratch]]).
-    */
-  def covered(v: Int, root: Int, rootDist: Array[Long], delta: Long): Boolean
-}
-
-object LabelView {
-  final class OfBuffers(b: LabelBuffers) extends LabelView {
-    def appendRootSnapshot(root: Int, into: DijkstraScratch): Unit = b.appendRootSnapshot(root, into)
-    def covered(v: Int, root: Int, rootDist: Array[Long], delta: Long): Boolean =
-      b.covered(v, rootDist, delta)
-  }
-
-  final class OfLabeling(l: Labeling) extends LabelView {
-    def appendRootSnapshot(root: Int, into: DijkstraScratch): Unit = {
-      val hs = l.hubs(root); val ds = l.dists(root)
-      var i = 0
-      while (i < hs.length) { into.snap(hs(i), ds(i)); i += 1 }
-    }
-    def covered(v: Int, root: Int, rootDist: Array[Long], delta: Long): Boolean = {
-      val hs = l.hubs(v); val ds = l.dists(v)
-      var i = 0
-      while (i < hs.length) {
-        val d2 = rootDist(hs(i))
-        if (d2 >= 0 && ds(i) + d2 <= delta) return true
-        i += 1
-      }
-      false
-    }
-  }
-
-  final class Composite(views: Seq[LabelView]) extends LabelView {
-    private val vs = views.toArray
-    def appendRootSnapshot(root: Int, into: DijkstraScratch): Unit = {
-      var i = 0
-      while (i < vs.length) { vs(i).appendRootSnapshot(root, into); i += 1 }
-    }
-    def covered(v: Int, root: Int, rootDist: Array[Long], delta: Long): Boolean = {
-      var i = 0
-      while (i < vs.length) { if (vs(i).covered(v, root, rootDist, delta)) return true; i += 1 }
-      false
-    }
-  }
 }
 
 /** The redundancy check of Alg. 2 (`DQ_Clean`): a label `(h, delta) ∈ L_v`

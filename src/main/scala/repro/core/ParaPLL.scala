@@ -20,7 +20,7 @@ object ParaPLL {
     val n  = g.n
     val t0 = System.nanoTime()
     val buffers  = new LabelBuffers(n, threadSafe = true)
-    val view     = new LabelView.OfBuffers(buffers)
+    val tables   = Array(buffers)
     val rootPos  = new AtomicInteger(0)
     val explored = new AtomicLong(0)
     val workers = (0 until threads).map { _ =>
@@ -33,7 +33,7 @@ object ParaPLL {
           else {
             val root = rank.order(i)
             val e = PrunedDijkstra.buildTree(
-              g, rank, root, view, rankQueries = false, scratch,
+              g, rank, root, tables, rankQueries = false, scratch,
               sink = (v, d) => buffers.add(v, root, d))
             explored.addAndGet(e)
           }
@@ -42,7 +42,10 @@ object ParaPLL {
     }
     workers.foreach(_.start())
     workers.foreach(_.join())
-    val labeling = Labeling.fromTriples(n, rank, buffers.triples)
+    // concurrent trees append to a list out of rank order
+    val labeling = buffers.toLabeling(rank)
+    var v = 0
+    while (v < n) { Labeling.sortByRankDesc(rank, labeling.hubs(v), labeling.dists(v)); v += 1 }
     Result(labeling, (System.nanoTime() - t0) / 1000000, explored.get())
   }
 }

@@ -48,19 +48,20 @@ final class DijkstraScratch(n: Int) {
 
 /** Pruned Dijkstra with Rank Queries (Alg. 1) — the tree-construction
   * engine shared by seqPLL, SparaPLL, LCC, GLL and DGLL; they differ only
-  * in what [[LabelView]] they can consult and whether rank queries are on.
+  * in which label tables they can consult and whether rank queries are on.
   */
 object PrunedDijkstra {
 
   /** Build the pruned SPT rooted at `root`.
     *
+    * @param tables      label tables consulted by distance queries; `L_root`
+    *                    from every table is copied once up front into the
+    *                    dense snapshot `scratch.rootDist`, and `v` is covered
+    *                    iff any table's `L_v` meets it within the distance,
+    *                    one array lookup per label, like PLL's `L_h` array
     * @param rankQueries prune (and withhold labels) at vertices ranked
     *                    above the root — LCC's crucial addition; paraPLL
     *                    runs with this off
-    * @param view        tables consulted by distance queries; the root's
-    *                    label set is copied once up front into the dense
-    *                    snapshot `scratch.rootDist`, so each query is one
-    *                    array lookup per label of `v`, like PLL's `L_h` array
     * @param sink        called with `(v, dist)` for every label generated
     * @return            number of vertices settled (explored)
     */
@@ -68,7 +69,7 @@ object PrunedDijkstra {
       g: CsrGraph,
       rank: Ranking,
       root: Int,
-      view: LabelView,
+      tables: Array[LabelBuffers],
       rankQueries: Boolean,
       scratch: DijkstraScratch,
       sink: (Int, Long) => Unit,
@@ -77,7 +78,8 @@ object PrunedDijkstra {
     val dist = scratch.dist
     val heap = scratch.heap
     val rootDist = scratch.rootDist
-    view.appendRootSnapshot(root, scratch)
+    var t = 0
+    while (t < tables.length) { tables(t).appendRootSnapshot(root, scratch); t += 1 }
 
     dist(root) = 0
     scratch.touch(root)
@@ -90,7 +92,7 @@ object PrunedDijkstra {
         scratch.settled(v) = true
         explored += 1
         val rankPruned = rankQueries && rank(v) > rank(root)
-        if (!rankPruned && !view.covered(v, root, rootDist, d)) {
+        if (!rankPruned && !covered(tables, v, rootDist, d)) {
           sink(v, d)
           var e = g.offsets(v)
           while (e < g.offsets(v + 1)) {
@@ -106,5 +108,11 @@ object PrunedDijkstra {
       }
     }
     explored
+  }
+
+  private def covered(tables: Array[LabelBuffers], v: Int, rootDist: Array[Long], delta: Long): Boolean = {
+    var t = 0
+    while (t < tables.length) { if (tables(t).covered(v, rootDist, delta)) return true; t += 1 }
+    false
   }
 }

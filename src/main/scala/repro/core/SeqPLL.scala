@@ -13,14 +13,14 @@ object SeqPLL {
   def run(g: CsrGraph, rank: Ranking): Result = {
     val t0      = System.nanoTime()
     val buffers = new LabelBuffers(g.n, threadSafe = false)
-    val view    = new LabelView.OfBuffers(buffers)
+    val tables  = Array(buffers)
     val scratch = new DijkstraScratch(g.n)
     var explored = 0L
     var i = 0
     while (i < g.n) {
       val root = rank.order(i)
       explored += PrunedDijkstra.buildTree(
-        g, rank, root, view, rankQueries = true, scratch,
+        g, rank, root, tables, rankQueries = true, scratch,
         sink = (v, d) => buffers.add(v, root, d))
       i += 1
     }

@@ -1,6 +1,5 @@
 package repro.dist
 
-import scala.collection.mutable
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
 import repro.core._
@@ -15,33 +14,33 @@ import repro.graph.{CsrGraph, Ranking}
   * node answers the cleaning queries it can decide — a witness hub's
   * labels for both endpoints live on the hub's owner — and the redundancy
   * bitvectors are OR-allreduced.
-  *
-  * `rankQueries = false, clean = false, replicate = true` turns this into
-  * DparaPLL: no rank pruning, every exchanged label kept and replicated on
-  * every node.
   */
 object DGLL {
 
-  def run(
-      spark: SparkSession,
-      g: CsrGraph,
-      rank: Ranking,
-      q: Int,
-      beta: Int = 8,
-      rankQueries: Boolean = true,
-      clean: Boolean = true,
-      replicate: Boolean = false,
-  ): (Labeling, DistStats) = {
+  val DefaultBeta = 8
+
+  def run(spark: SparkSession, g: CsrGraph, rank: Ranking, q: Int,
+          beta: Int = DefaultBeta): (Labeling, DistStats) =
+    runWith(spark, g, rank, q, beta, paraPLL = false)
+
+  /** DparaPLL: the same supersteps with no rank pruning and no cleaning,
+    * every exchanged label kept and replicated on every node.
+    */
+  def runParaPLL(spark: SparkSession, g: CsrGraph, rank: Ranking, q: Int): (Labeling, DistStats) =
+    runWith(spark, g, rank, q, DefaultBeta, paraPLL = true)
+
+  private def runWith(spark: SparkSession, g: CsrGraph, rank: Ranking, q: Int, beta: Int,
+                      paraPLL: Boolean): (Labeling, DistStats) = {
     val sc  = spark.sparkContext
     val t0  = System.nanoTime()
     val acc = new SimCluster.StatsAccum
     val bcGraph = sc.broadcast(g)
     val bcRank  = sc.broadcast(rank)
     val owned = runSupersteps(
-      spark, bcGraph, bcRank, q, beta, rankQueries, clean,
+      spark, bcGraph, bcRank, q, beta, paraPLL,
       hc = null, startPos = 0, priorOwned = SimCluster.emptyLabels(sc, q), acc)
     bcGraph.destroy(); bcRank.destroy()
-    SimCluster.finish(owned, g.n, rank, acc, t0, replicate = replicate)
+    SimCluster.finish(owned, g.n, rank, acc, t0, replicate = paraPLL)
   }
 
   /** Geometrically growing superstep sizes covering `total` roots. */
@@ -56,6 +55,7 @@ object DGLL {
 
   /** The superstep engine, reusable by Hybrid's post-switch phase.
     *
+    * @param paraPLL     DparaPLL: no rank queries and no cleaning
     * @param hc          optional Common Label Table consulted by distance
     *                    queries on every node (§5.3)
     * @param priorOwned  labels already stored per node (Hybrid's PLaNT
@@ -71,9 +71,8 @@ object DGLL {
       bcRank: Broadcast[Ranking],
       q: Int,
       beta: Int,
-      rankQueries: Boolean,
-      clean: Boolean,
-      hc: CommonTable,
+      paraPLL: Boolean,
+      hc: LabelBuffers,
       startPos: Int,
       priorOwned: SimCluster.OwnedLabels,
       acc: SimCluster.StatsAccum,
@@ -89,7 +88,10 @@ object DGLL {
     // pre-switch PLaNT labels are deliberately not here — they were never
     // broadcast; each node sees only its own slice of them). Each superstep's
     // roots rank below all earlier ones, so committing appends to the
-    // rank-descending lists, as GLL's commit does.
+    // rank-descending lists, as GLL's commit does. It is broadcast as it is:
+    // the driver appends to it only in `commit`, after the superstep's job
+    // has finished and `bcGlobal.destroy()` has run, so no task reads it
+    // while it grows (in local mode tasks share the driver's instance).
     val global = new LabelBuffers(n, threadSafe = false)
 
     var pos = startPos
@@ -100,23 +102,16 @@ object DGLL {
       val b = math.min(n, a + size)
       pos = b
 
-      val bcGlobal = sc.broadcast((
-        Array.tabulate(n)(v => java.util.Arrays.copyOf(global.bufs(v).hubs, global.bufs(v).size)),
-        Array.tabulate(n)(v => java.util.Arrays.copyOf(global.bufs(v).dists, global.bufs(v).size))))
-      val rq = rankQueries
+      val bcGlobal = sc.broadcast(global)
       // candidates(i): the labels node i generated, in root order
       val candidates: Array[NodeLabels] = owned
         .mapPartitionsWithIndex { (pid, it) =>
           val gg = bcGraph.value; val rk = bcRank.value
           val own   = it.next().index(gg.n)
           val local = new LabelBuffers(gg.n, threadSafe = false)
-          val (gh, gd) = bcGlobal.value
-          val views = mutable.ArrayBuffer[LabelView](
-            new LabelView.OfLabeling(new Labeling(gg.n, gh, gd, rk)),
-            new LabelView.OfBuffers(own),
-            new LabelView.OfBuffers(local))
-          if (bcHc != null) views += new HcView(bcHc.value, rk)
-          val view    = new LabelView.Composite(views.toSeq)
+          val tables =
+            if (bcHc != null) Array(bcGlobal.value, own, local, bcHc.value)
+            else Array(bcGlobal.value, own, local)
           val scratch = new DijkstraScratch(gg.n)
           val out     = new NodeLabels.Builder
           var explored = 0L
@@ -125,7 +120,7 @@ object DGLL {
           while (p < b) {
             val root = rk.order(p)
             explored += PrunedDijkstra.buildTree(
-              gg, rk, root, view, rq, scratch,
+              gg, rk, root, tables, rankQueries = !paraPLL, scratch,
               sink = (v, d) => { local.add(v, root, d); out.add(v, root, d) })
             p += q
           }
@@ -136,10 +131,10 @@ object DGLL {
       bcGlobal.destroy()
       val generated = candidates.map(_.size.toLong).sum
       acc.labelsGenerated += generated
-      acc.recordExchange(generated, q, cleaned = clean)
+      acc.recordExchange(generated, q, cleaned = !paraPLL)
 
       val survivors: Array[NodeLabels] =
-        if (!clean || generated == 0) candidates
+        if (paraPLL || generated == 0) candidates
         else {
           val bits = cleanCandidates(spark, owned, bcRank, candidates)
           acc.redundantRemoved += bits.count(identity)
@@ -226,13 +221,4 @@ object DGLL {
     bcCand.destroy()
     bits
   }
-}
-
-/** [[LabelView]] adapter for the Common Label Table: answers distance
-  * queries directly from the replicated top-η hub labels.
-  */
-final class HcView(hc: CommonTable, rank: Ranking) extends LabelView {
-  def appendRootSnapshot(root: Int, into: DijkstraScratch): Unit = ()
-  def covered(v: Int, root: Int, rootDist: Array[Long], delta: Long): Boolean =
-    hc.covered(v, root, delta, rank)
 }

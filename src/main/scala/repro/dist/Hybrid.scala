@@ -1,7 +1,7 @@
 package repro.dist
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{DijkstraScratch, Labeling}
+import repro.core.{DijkstraScratch, LabelBuffers, Labeling}
 import repro.graph.{CsrGraph, Ranking}
 
 /** PLaNT (§5.2) and the Hybrid PLaNT→DGLL algorithm (§5.2.1).
@@ -26,7 +26,6 @@ object Hybrid {
       q: Int,
       psiTh: Double = 100.0,
       eta: Int = 16,
-      beta: Int = 8,
       batchSize: Int = 0,
   ): (Labeling, DistStats) = {
     val sc  = spark.sparkContext
@@ -43,7 +42,10 @@ object Hybrid {
     val exploredAcc = sc.longAccumulator("plantExplored")
 
     var owned: SimCluster.OwnedLabels = SimCluster.emptyLabels(sc, q)
-    var hc: CommonTable = if (etaEff > 0) CommonTable.empty(etaEff, n) else null
+    // Common Label Table: the labels of the top-η hubs planted so far. It
+    // only ever holds hubs of finished batches, which all outrank every
+    // later root, so a later tree may prune with it (§5.3).
+    val hc = if (etaEff > 0) new LabelBuffers(n, threadSafe = false) else null
     var pos       = 0
     var switchPos = -1
     var lastExplored = 0L
@@ -80,14 +82,17 @@ object Hybrid {
       val exploredThisBatch = exploredAcc.value - lastExplored
       lastExplored = exploredAcc.value
 
-      val hcNew = NodeLabels.concat(planted.map(_._2).toSeq)
-      if (hcNew.size > 0) {
-        hc = hc.updated(rank, hcNew.triples.toSeq)
-        acc.recordCommonTable(hcNew.size.toLong, q)
-      }
       owned = SimCluster.appendLabels(owned, fresh)
       fresh.unpersist(blocking = false)
       if (bcHc != null) bcHc.destroy()
+      // Grow the table only now that the new store is materialized: a
+      // recomputed task of this batch would otherwise see its own roots'
+      // rows, and a root in the table prunes every vertex of its tree.
+      val hcNew = NodeLabels.concat(planted.map(_._2).toSeq)
+      if (hcNew.size > 0) {
+        hcNew.addTo(hc)
+        acc.recordCommonTableBroadcast(hcNew.size.toLong, q)
+      }
 
       val psi = exploredThisBatch.toDouble / math.max(1L, labelsThisBatch)
       if (psi > psiTh && pos < n) switchPos = pos
@@ -95,8 +100,8 @@ object Hybrid {
     acc.explored = lastExplored
 
     if (switchPos >= 0)
-      owned = DGLL.runSupersteps(spark, bcGraph, bcRank, q, beta,
-        rankQueries = true, clean = true, hc = hc,
+      owned = DGLL.runSupersteps(spark, bcGraph, bcRank, q, DGLL.DefaultBeta,
+        paraPLL = false, hc = hc,
         startPos = switchPos, priorOwned = owned, acc = acc)
     bcGraph.destroy(); bcRank.destroy()
     SimCluster.finish(owned, n, rank, acc, t0, switchPos = switchPos,

@@ -1,6 +1,6 @@
 package repro.dist
 
-import repro.core.DijkstraScratch
+import repro.core.{DijkstraScratch, LabelBuffers}
 import repro.graph.{CsrGraph, Dijkstra, Ranking}
 
 /** PLaNTDijkstra (Alg. 3): "Prune Labels and (do) Not (prune) Trees".
@@ -25,14 +25,15 @@ object PlantTree {
 
   /** Build the planted SPT rooted at `root`; emits labels via `sink`.
     *
-    * @param hc  common label table for §5.3 pruning, or `null`
+    * @param hc  common label table for §5.3 pruning, or `null`: labels of
+    *            top hubs that all outrank `root`
     * @return    number of vertices settled (explored) — the numerator of Ψ
     */
   def build(
       g: CsrGraph,
       rank: Ranking,
       root: Int,
-      hc: CommonTable,
+      hc: LabelBuffers,
       scratch: DijkstraScratch,
       sink: (Int, Long) => Unit,
   ): Long = {
@@ -40,6 +41,7 @@ object PlantTree {
     val dist = scratch.dist
     val anc  = scratch.anc
     val heap = scratch.heap
+    if (hc != null) hc.appendRootSnapshot(root, scratch)
 
     dist(root) = 0
     anc(root) = root
@@ -54,7 +56,7 @@ object PlantTree {
         scratch.settled(v) = true
         explored += 1
         if (anc(v) == root) cnt -= 1
-        val pruned = hc != null && v != root && hc.covered(v, root, d, rank)
+        val pruned = hc != null && v != root && hc.covered(v, scratch.rootDist, d)
         if (!pruned) {
           // nA: highest-ranked vertex on the chosen path h..v inclusive
           val nA = if (rank(anc(v)) >= rank(v)) anc(v) else v

@@ -2,7 +2,7 @@ package repro.dist
 
 import org.apache.spark.SparkContext
 import org.apache.spark.rdd.RDD
-import repro.core.{LabelBuffers, Labeling, LabelTriple}
+import repro.core.{LabelBuffers, Labeling}
 import repro.graph.Ranking
 
 /** The labels one simulated node stores, as parallel columns: label `i` says
@@ -38,8 +38,6 @@ final class NodeLabels(val v: Array[Int], val h: Array[Int], val d: Array[Long])
 
   /** Per-vertex lists of this block's labels over `n` vertices. */
   def index(n: Int): LabelBuffers = addTo(new LabelBuffers(n, threadSafe = false))
-
-  def triples: Iterator[LabelTriple] = Iterator.range(0, size).map(i => LabelTriple(v(i), h(i), d(i)))
 }
 
 object NodeLabels {
@@ -160,7 +158,7 @@ object SimCluster {
       syncs += 1
     }
 
-    def recordCommonTable(labels: Long, q: Int): Unit =
+    def recordCommonTableBroadcast(labels: Long, q: Int): Unit =
       bytesBroadcast += labels * repro.core.Labeling.BytesPerLabel * math.max(0, q - 1)
   }
 }

@@ -29,9 +29,6 @@ final class Ranking(val rankOf: Array[Int]) extends Serializable {
     * split: `TQ_i = { v | pos(v) mod q = i }` (§5.1).
     */
   def owner(v: Int, q: Int): Int = posOf(v) % q
-
-  /** True iff `v` is one of the `eta` most important vertices. */
-  def inTop(v: Int, eta: Int): Boolean = posOf(v) < eta
 }
 
 object Ranking {

@@ -20,7 +20,7 @@ object DistScaling {
       val (pl, ps) = Plant.run(spark, g, rank, q)
       val (hl, hs) = Hybrid.run(spark, g, rank, q, psiTh = psiTh)
       val (dl, ds) = DGLL.run(spark, g, rank, q)
-      val (bl, bs) = DGLL.run(spark, g, rank, q, rankQueries = false, clean = false, replicate = true)
+      val (bl, bs) = DGLL.runParaPLL(spark, g, rank, q)
       Console.err.println(s"[scaling] ${spec.name} q=$q done")
       Seq(
         Cell("PLaNT", q, ps, pl.als),

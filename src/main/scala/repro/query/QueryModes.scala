@@ -91,8 +91,14 @@ object QueryModes {
     val elapsed = (System.nanoTime() - t0) / 1e9
     val perQueryMicros = measureMergeMicros(labeling, us, vs)
     // per-node label bytes by hub owner
-    val perNodeBytes = Array.fill(q)(0L)
-    labeling.triples.foreach(t => perNodeBytes(rank.owner(t.h, q)) += Labeling.BytesPerLabel)
+    val perNodeBytes = new Array[Long](q)
+    var v = 0
+    while (v < labeling.n) {
+      val hs = labeling.hubs(v)
+      var i = 0
+      while (i < hs.length) { perNodeBytes(rank.owner(hs(i), q)) += Labeling.BytesPerLabel; i += 1 }
+      v += 1
+    }
     bcL.destroy(); bcR.destroy()
     ModeMetrics("QFDL", res,
       throughputQps = us.length / elapsed,

@@ -36,9 +36,4 @@ class SynthDataGraphSpec extends SparkSpec {
     val g  = CsrGraph.fromDataFrame(df)
     assert(g.n == 5)
   }
-
-  test("TPC-H-lite generators still work alongside the graph extension") {
-    assert(SynthData.lineitem(spark, 0.001).count() > 0)
-    assert(SynthData.orders(spark, 0.001).count() > 0)
-  }
 }

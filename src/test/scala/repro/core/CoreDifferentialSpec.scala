@@ -39,11 +39,11 @@ class CoreDifferentialSpec extends AnyFunSuite {
     val g       = GraphGen.preferentialAttachment(800, 3, seed = 5)
     val rank    = Ranking.byDegree(g)
     val buffers = new LabelBuffers(g.n, threadSafe = false)
-    val view    = new LabelView.OfBuffers(buffers)
+    val tables  = Array(buffers)
     val reused  = new DijkstraScratch(g.n)
     def tree(root: Int, scratch: DijkstraScratch): Seq[(Int, Long)] = {
       val out = Seq.newBuilder[(Int, Long)]
-      PrunedDijkstra.buildTree(g, rank, root, view, rankQueries = true, scratch,
+      PrunedDijkstra.buildTree(g, rank, root, tables, rankQueries = true, scratch,
         sink = (v, d) => out += ((v, d)))
       out.result()
     }

@@ -7,7 +7,7 @@ import repro.graph.{GraphGen, Ranking}
 class DParaPLLSpec extends SparkSpec {
 
   private def dparapll(g: repro.graph.CsrGraph, r: Ranking, q: Int) =
-    DGLL.run(spark, g, r, q, rankQueries = false, clean = false, replicate = true)
+    DGLL.runParaPLL(spark, g, r, q)
 
   for (seed <- 1 to 10)
     test(s"DparaPLL satisfies the cover property (seed=$seed)") {

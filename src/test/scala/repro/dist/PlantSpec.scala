@@ -1,7 +1,8 @@
 package repro.dist
 
 import repro.{SparkSpec, TestUtil}
-import repro.core.{DijkstraScratch, SeqPLL}
+import scala.collection.mutable.ArrayBuffer
+import repro.core.{DijkstraScratch, LabelBuffers, SeqPLL}
 import repro.graph.{GraphGen, Ranking}
 
 class PlantSpec extends SparkSpec {
@@ -76,6 +77,34 @@ class PlantSpec extends SparkSpec {
     val (l, _) = Plant.run(spark, g, r, q = 1)
     TestUtil.assertCanonical(l, g, r)
   }
+
+  for ((name, g, r) <- Seq(
+         { val g = GraphGen.preferentialAttachment(300, 3, seed = 46); ("300-vertex BA", g, Ranking.byDegree(g)) },
+         { val g = GraphGen.grid(8, 8, seed = 47); ("8x8 grid", g, Ranking.byApproxBetweenness(g)) }))
+    test(s"common-table pruning keeps every tree's labels and explores less ($name)") {
+      // the table holds the final labels of the top-eta hubs, all of which
+      // outrank every root planted with it
+      val eta = 16
+      val seq = SeqPLL.run(g, r).labeling
+      val hc  = new LabelBuffers(g.n, threadSafe = false)
+      for (v <- 0 until g.n; i <- seq.hubs(v).indices if r.posOf(seq.hubs(v)(i)) < eta)
+        hc.add(v, seq.hubs(v)(i), seq.dists(v)(i))
+      val scratch = new DijkstraScratch(g.n)
+      def plant(root: Int, table: LabelBuffers): (Seq[(Int, Long)], Long) = {
+        val out = ArrayBuffer.empty[(Int, Long)]
+        val explored = PlantTree.build(g, r, root, table, scratch, (v, d) => out += ((v, d)))
+        (out.toSeq, explored)
+      }
+      var exploredWith, exploredWithout = 0L
+      for (p <- eta until g.n) {
+        val root = r.order(p)
+        val (pruned, e1) = plant(root, hc)
+        val (full, e2)   = plant(root, null)
+        assert(pruned == full, s"root $root")
+        exploredWith += e1; exploredWithout += e2
+      }
+      assert(exploredWith < exploredWithout, s"explored $exploredWith with the table, $exploredWithout without")
+    }
 
   test("batched planting matches single-batch planting") {
     val g = GraphGen.preferentialAttachment(70, 3, seed = 45)

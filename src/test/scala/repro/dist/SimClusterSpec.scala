@@ -76,9 +76,9 @@ class SimClusterSpec extends SparkSpec {
     assert(acc.bytesBroadcast == 0)
   }
 
-  test("recordCommonTable accounts the eta-hub replication") {
+  test("recordCommonTableBroadcast accounts the eta-hub replication") {
     val acc = new SimCluster.StatsAccum
-    acc.recordCommonTable(labels = 7, q = 5)
+    acc.recordCommonTableBroadcast(labels = 7, q = 5)
     assert(acc.bytesBroadcast == 7L * 12 * 4)
   }
 }
