@@ -68,24 +68,6 @@ class LabelingSpec extends AnyFunSuite {
     scratch.rootDist
   }
 
-  /** `L_root` of table `t` as the dense snapshot distance queries read. */
-  private def rootSnapshot(t: LabelBuffers, root: Int): Array[Long] = {
-    val scratch = new DijkstraScratch(t.n)
-    t.appendRootSnapshot(root, scratch)
-    scratch.rootDist
-  }
-
-  test("LabelBuffers.covered requires both endpoints labelled and the sum within delta") {
-    val t = new LabelBuffers(4, threadSafe = false)
-    assert(!t.covered(0, rootSnapshot(t, 1), 100)) // an empty table covers nothing
-    t.add(0, 3, 3); t.add(1, 3, 4) // hub 3 labels vertices 0 and 1
-    assert(t.covered(0, rootSnapshot(t, 1), 7))
-    assert(t.covered(0, rootSnapshot(t, 1), 8))
-    assert(!t.covered(0, rootSnapshot(t, 1), 6))
-    assert(!t.covered(0, rootSnapshot(t, 2), 100)) // root 2 unlabelled
-    assert(!t.covered(2, rootSnapshot(t, 1), 100)) // vertex 2 unlabelled
-  }
-
   test("Cleaning.isRedundant: higher-ranked witness on the path") {
     // L_v = {(1,4),(3,2)} in any order, L_1 = {(3,2),(1,0)}; label (1,4)
     // of v: witness hub 3 with 2+2 <= 4 and rank(3) > rank(1) → redundant

@@ -1,57 +1,77 @@
 package repro.dist
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.LabelTriple
-import repro.graph.{Dijkstra, Ranking}
+import repro.core.{DijkstraScratch, LabelBuffers}
+import repro.graph.{GraphGen, Ranking}
 
+/** The Common Label Table: a [[LabelBuffers]] of the top-η hubs' labels,
+  * queried through a dense `L_root` snapshot as [[PlantTree]] and DGLL do.
+  */
 class CommonTableSpec extends AnyFunSuite {
 
   private val rank = Ranking.identity(6) // order = 5,4,3,2,1,0; pos(5)=0
 
+  private def table(ts: (Int, Int, Long)*): LabelBuffers = {
+    val t = new LabelBuffers(6, threadSafe = false)
+    ts.foreach { case (v, h, d) => t.add(v, h, d) }
+    t
+  }
+
+  private def covered(t: LabelBuffers, v: Int, root: Int, delta: Long): Boolean = {
+    val scratch = new DijkstraScratch(t.n)
+    t.appendRootSnapshot(root, scratch)
+    t.covered(v, scratch.rootDist, delta)
+  }
+
   test("empty table covers nothing") {
-    val hc = CommonTable.empty(2, 6)
-    assert(!hc.covered(0, 1, 100, rank))
+    val hc = table()
+    assert(!covered(hc, 0, 1, 100))
     assert(hc.labelCount == 0)
   }
 
   test("covered requires both endpoints labelled and the sum within delta") {
     // top hub is vertex 5 (pos 0)
-    val hc = CommonTable.empty(2, 6)
-      .updated(rank, Seq(LabelTriple(0, 5, 3), LabelTriple(1, 5, 4)))
-    assert(hc.covered(0, 1, 7, rank))
-    assert(hc.covered(0, 1, 8, rank))
-    assert(!hc.covered(0, 1, 6, rank))
-    assert(!hc.covered(0, 2, 100, rank)) // vertex 2 unlabelled
+    val hc = table((0, 5, 3), (1, 5, 4))
+    assert(covered(hc, 0, 1, 7))
+    assert(covered(hc, 0, 1, 8))
+    assert(!covered(hc, 0, 1, 6))
+    assert(!covered(hc, 0, 2, 100)) // root 2 unlabelled
+    assert(!covered(hc, 2, 1, 100)) // vertex 2 unlabelled
   }
 
   test("only hubs strictly above the root may prune") {
-    val hc = CommonTable.empty(2, 6)
-      .updated(rank, Seq(LabelTriple(0, 5, 1), LabelTriple(4, 5, 1), LabelTriple(1, 4, 1), LabelTriple(0, 4, 1)))
+    val hc = table((0, 5, 1), (4, 5, 1), (1, 4, 1), (0, 4, 1))
     // root 5 is the top hub itself: nothing outranks it
-    assert(!hc.covered(0, 5, 100, rank))
+    assert(!covered(hc, 0, 5, 100))
     // root 4: hub 5 (pos 0 < pos(4)=1) may prune
-    assert(hc.covered(0, 4, 2, rank))
+    assert(covered(hc, 0, 4, 2))
     // root 0: hub 4 labels both 1 and 0, so SP(0,1) is covered
-    assert(hc.covered(1, 0, 100, rank))
-    assert(!hc.covered(1, 0, 1, rank)) // but not within delta=1
-  }
+    assert(covered(hc, 1, 0, 100))
+    assert(!covered(hc, 1, 0, 1)) // but not within delta=1
 
-  test("updated is copy-on-write: the original instance is unchanged") {
-    val a = CommonTable.empty(1, 6)
-    val b = a.updated(rank, Seq(LabelTriple(2, 5, 7)))
-    assert(a.distOf(0, 2) == Dijkstra.Inf)
-    assert(b.distOf(0, 2) == 7)
-    assert(a.labelCount == 0 && b.labelCount == 1)
-  }
-
-  test("updated rejects hubs outside the top eta") {
-    val hc = CommonTable.empty(1, 6)
-    assertThrows[IllegalArgumentException](hc.updated(rank, Seq(LabelTriple(0, 3, 2))))
+    // Built as Hybrid builds it, from the planted trees of the top-eta
+    // roots, the table gives every later root only hubs that outrank it.
+    val g = GraphGen.preferentialAttachment(60, 3, seed = 48)
+    val r = Ranking.byDegree(g)
+    val eta = 8
+    val planted = new LabelBuffers(g.n, threadSafe = false)
+    val scratch = new DijkstraScratch(g.n)
+    for (p <- 0 until eta) {
+      val root = r.order(p)
+      PlantTree.build(g, r, root, null, scratch, sink = (v, d) => planted.add(v, root, d))
+    }
+    assert(planted.labelCount > 0)
+    for (p <- eta until g.n) {
+      val root = r.order(p)
+      scratch.reset()
+      planted.appendRootSnapshot(root, scratch)
+      for (h <- 0 until g.n if scratch.rootDist(h) >= 0)
+        assert(r.posOf(h) < p, s"hub $h in the snapshot of root $root")
+    }
   }
 
   test("labelCount counts stored labels") {
-    val hc = CommonTable.empty(3, 6)
-      .updated(rank, Seq(LabelTriple(0, 5, 1), LabelTriple(1, 5, 2), LabelTriple(2, 3, 3)))
+    val hc = table((0, 5, 1), (1, 5, 2), (2, 3, 3))
     assert(hc.labelCount == 3)
   }
 }
