@@ -3,7 +3,7 @@ package repro.jobs
 import repro.core.GLL
 import repro.harness.Datasets
 
-/** Developer probe: GLL construct/clean breakdown per dataset.
+/** Developer probe: GLL construct/clean/commit breakdown per dataset.
   * Usage: PerfProbe [dataset] [scale] [alpha]
   */
 object PerfProbe {
@@ -17,10 +17,12 @@ object PerfProbe {
     val threads = Runtime.getRuntime.availableProcessors()
     val res = GLL.run(g, rank, threads, alpha)
     println(s"$name n=${g.n} m=${g.m} alpha=$alpha: total=${res.timeMs}ms " +
-      s"construct=${res.constructMs}ms clean=${res.cleanMs}ms supersteps=${res.supersteps} " +
-      s"labels=${res.labeling.labelCount} generated=${res.labelsGenerated} removed=${res.redundantRemoved}")
+      s"construct=${res.constructMs}ms clean=${res.cleanMs}ms (commit=${res.commitMs}ms) " +
+      s"supersteps=${res.supersteps} labels=${res.labeling.labelCount} " +
+      s"generated=${res.labelsGenerated} removed=${res.redundantRemoved}")
     val lcc = GLL.runLCC(g, rank, threads)
-    println(s"$name LCC: total=${lcc.timeMs}ms construct=${lcc.constructMs}ms clean=${lcc.cleanMs}ms " +
+    println(s"$name LCC: total=${lcc.timeMs}ms construct=${lcc.constructMs}ms " +
+      s"clean=${lcc.cleanMs}ms (commit=${lcc.commitMs}ms) " +
       s"generated=${lcc.labelsGenerated} removed=${lcc.redundantRemoved}")
   }
 }

@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.concurrent.CyclicBarrier
 import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
 import repro.graph.{CsrGraph, Ranking}
 
@@ -16,12 +17,15 @@ import repro.graph.{CsrGraph, Ranking}
   * Because roots are claimed in rank order, every hub of superstep `s`
   * ranks strictly below every hub of superstep `s-1`; committing is
   * therefore a cheap *append*, tree by tree in root order, to the
-  * per-vertex rank-sorted global lists. Cleaning is grouped by tree: each
-  * root's `global(h) ++ local(h)` is snapshotted once into a dense array
-  * and every label `(v, δ)` of its tree scans `global(v) ++ local(v)`
-  * ([[Cleaning.isRedundant]]) — no sort and no table rebuild per superstep
-  * (this is what makes GLL's interleaved cleaning cheaper than LCC's
-  * one-shot cleaning).
+  * per-vertex rank-sorted global lists, done in parallel with one thread
+  * per vertex range. Cleaning is grouped by tree and needs the local table
+  * only: each root's `local(h)` is snapshotted once into a dense array and
+  * every label `(v, δ)` of its tree scans `local(v)`
+  * ([[Cleaning.isRedundant]]). Construction already tested every label
+  * against the global table, so a superstep's cleaning cost follows the
+  * size of its own local table, not of the growing global one — which is
+  * what makes GLL's interleaved cleaning cheaper than LCC's one-shot
+  * cleaning. `commitMs` is the part of `cleanMs` spent appending.
   *
   * [[GLL.runLCC]] is the two-step LCC algorithm (§4.1): exactly one
   * superstep (`alpha = ∞`) followed by one full cleaning pass.
@@ -33,6 +37,7 @@ object GLL {
       timeMs: Long,
       constructMs: Long,
       cleanMs: Long,
+      commitMs: Long,
       supersteps: Int,
       labelsGenerated: Long,
       redundantRemoved: Long,
@@ -43,6 +48,7 @@ object GLL {
     run(g, rank, threads, alpha = Double.PositiveInfinity)
 
   def run(g: CsrGraph, rank: Ranking, threads: Int, alpha: Double = 4.0): Result = {
+    require(threads >= 1, s"threads must be at least 1, got $threads")
     val n  = g.n
     val t0 = System.nanoTime()
     val limit: Long =
@@ -64,6 +70,7 @@ object GLL {
     val exploredTot = new AtomicLong(0)
     var constructNs = 0L
     var cleanNs     = 0L
+    var commitNs    = 0L
     var supersteps  = 0
     var generated   = 0L
     var removed     = 0L
@@ -109,12 +116,21 @@ object GLL {
 
       // ---- synchronize: clean the superstep's trees, append to global ----
       // Cleaning threads claim roots h and test each label (v, δ) of h's
-      // tree against the snapshot of global(h) ++ local(h), scanning
-      // global(v) ++ local(v). Both tables are read-only until the commit,
-      // so the local table is read without its locks.
+      // tree against the snapshot of local(h), scanning local(v) only. The
+      // global table cannot hold a witness: it does not change during the
+      // superstep, h's tree snapshotted all of global(h), and buildTree
+      // emitted (v, δ) only after testing global(v) at the same δ, every
+      // hub of which outranks h. So no w ∈ global(h) ∩ global(v) gives
+      // d ≤ δ, and as global and local have disjoint hub sets, every
+      // witness lies in local(h) ∩ local(v). (For LCC global is empty.)
+      // Both tables are read-only until the commit, so the local table is
+      // read without its locks.
       val ts = System.nanoTime()
-      val redundant = new Array[Array[Boolean]](b - a)
-      val cleanPos  = new AtomicInteger(a)
+      val redundant   = new Array[Array[Boolean]](b - a)
+      val cleanPos    = new AtomicInteger(a)
+      val removedBy   = new Array[Long](threads)
+      var commitStart = 0L
+      val cleaned     = new CyclicBarrier(threads, () => commitStart = System.nanoTime())
       val cleaners = (0 until threads).map { t =>
         new Thread(() => {
           val scratch = scratches(t)
@@ -123,40 +139,51 @@ object GLL {
             val h  = rank.order(p)
             val tv = treeV(p); val td = treeD(p)
             scratch.reset()
-            global.appendRootSnapshot(h, scratch)
             local.appendRootSnapshot(h, scratch)
             val marks = new Array[Boolean](tv.length)
             var i = 0
             while (i < tv.length) {
-              val gv = global.bufs(tv(i)); val lv = local.bufs(tv(i))
-              marks(i) =
-                Cleaning.isRedundant(rank, h, td(i), scratch.rootDist, gv.hubs, gv.dists, gv.size) ||
-                  Cleaning.isRedundant(rank, h, td(i), scratch.rootDist, lv.hubs, lv.dists, lv.size)
+              val lv = local.bufs(tv(i))
+              marks(i) = Cleaning.isRedundant(rank, h, td(i), scratch.rootDist, lv.hubs, lv.dists, lv.size)
               i += 1
             }
             redundant(p - a) = marks
             p = cleanPos.getAndIncrement()
           }
+          cleaned.await()
+          // Commit the survivors whose v is in this thread's vertex range,
+          // root by root: each list has one writer, and every hub of this
+          // superstep ranks below every hub already in global, so the
+          // lists stay rank-sorted.
+          val lo = (n.toLong * t / threads).toInt
+          val hi = (n.toLong * (t + 1) / threads).toInt
+          var rm = 0L
+          p = a
+          while (p < b) {
+            val h  = rank.order(p)
+            val tv = treeV(p); val td = treeD(p); val marks = redundant(p - a)
+            var i = 0
+            while (i < tv.length) {
+              val v = tv(i)
+              if (v >= lo && v < hi) {
+                if (marks(i)) rm += 1
+                else global.add(v, h, td(i))
+              }
+              i += 1
+            }
+            p += 1
+          }
+          removedBy(t) = rm
         })
       }
       cleaners.foreach(_.start())
       cleaners.foreach(_.join())
-      // Append survivors root by root: every hub of this superstep ranks
-      // below every hub already in global, so its lists stay rank-sorted.
+      val te = System.nanoTime()
+      commitNs += te - commitStart
+      removed += removedBy.sum
       var p = a
-      while (p < b) {
-        val h  = rank.order(p)
-        val tv = treeV(p); val td = treeD(p); val marks = redundant(p - a)
-        var i = 0
-        while (i < tv.length) {
-          if (marks(i)) removed += 1
-          else global.add(tv(i), h, td(i))
-          i += 1
-        }
-        treeV(p) = null; treeD(p) = null
-        p += 1
-      }
-      cleanNs += System.nanoTime() - ts
+      while (p < b) { treeV(p) = null; treeD(p) = null; p += 1 }
+      cleanNs += te - ts
     }
 
     Result(
@@ -164,6 +191,7 @@ object GLL {
       timeMs = (System.nanoTime() - t0) / 1000000,
       constructMs = constructNs / 1000000,
       cleanMs = cleanNs / 1000000,
+      commitMs = commitNs / 1000000,
       supersteps = supersteps,
       labelsGenerated = generated,
       redundantRemoved = removed,

@@ -17,6 +17,7 @@ object ParaPLL {
   final case class Result(labeling: Labeling, timeMs: Long, explored: Long)
 
   def run(g: CsrGraph, rank: Ranking, threads: Int): Result = {
+    require(threads >= 1, s"threads must be at least 1, got $threads")
     val n  = g.n
     val t0 = System.nanoTime()
     val buffers  = new LabelBuffers(n, threadSafe = true)

@@ -20,8 +20,10 @@ object DGLL {
   val DefaultBeta = 8
 
   def run(spark: SparkSession, g: CsrGraph, rank: Ranking, q: Int,
-          beta: Int = DefaultBeta): (Labeling, DistStats) =
+          beta: Int = DefaultBeta): (Labeling, DistStats) = {
+    require(beta >= 2, s"superstep growth beta must be at least 2, got $beta")
     runWith(spark, g, rank, q, beta, paraPLL = false)
+  }
 
   /** DparaPLL: the same supersteps with no rank pruning and no cleaning,
     * every exchanged label kept and replicated on every node.

@@ -24,9 +24,11 @@ class CoreDifferentialSpec extends AnyFunSuite {
     test(s"GLL (alpha 1 and 4) and LCC equal SeqPLL on the $name graph at $threads threads") {
       val (g, rank, chl) = cases(name)
       val runs = Seq(
-        "GLL alpha=1" -> GLL.run(g, rank, threads, alpha = 1.0),
-        "GLL alpha=4" -> GLL.run(g, rank, threads, alpha = 4.0),
-        "LCC"         -> GLL.runLCC(g, rank, threads))
+        "GLL alpha=1"    -> GLL.run(g, rank, threads, alpha = 1.0),
+        "GLL alpha=4"    -> GLL.run(g, rank, threads, alpha = 4.0),
+        // many supersteps, each cleaned while the global table is large
+        "GLL alpha=0.25" -> GLL.run(g, rank, threads, alpha = 0.25),
+        "LCC"            -> GLL.runLCC(g, rank, threads))
       for ((what, r) <- runs) {
         TestUtil.assertSameLabels(chl, r.labeling, s"$what, $name, $threads threads")
         assert(r.labelsGenerated == r.labeling.labelCount + r.redundantRemoved)

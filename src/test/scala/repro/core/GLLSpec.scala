@@ -54,6 +54,14 @@ class GLLSpec extends AnyFunSuite {
     val r = TestUtil.rankingFor(g, 2)
     val res = GLL.run(g, r, threads = 4, alpha = 4.0)
     assert(res.constructMs + res.cleanMs <= res.timeMs + 50)
+    assert(res.commitMs <= res.cleanMs)
+  }
+
+  test("GLL and LCC reject a thread count below 1") {
+    val g = GraphGen.grid(4, 4)
+    val r = TestUtil.rankingFor(g, 0)
+    intercept[IllegalArgumentException](GLL.run(g, r, threads = 0))
+    intercept[IllegalArgumentException](GLL.runLCC(g, r, threads = 0))
   }
 
   test("GLL ALS equals the reference CHL ALS") {

@@ -41,6 +41,11 @@ class ParaPLLSpec extends AnyFunSuite {
     TestUtil.assertRespectsR(spara, g, r)
   }
 
+  test("SparaPLL rejects a thread count below 1") {
+    val g = GraphGen.grid(4, 4)
+    intercept[IllegalArgumentException](ParaPLL.run(g, TestUtil.rankingFor(g, 0), threads = 0))
+  }
+
   test("every vertex keeps its self label") {
     val g = GraphGen.grid(5, 5)
     val r = TestUtil.rankingFor(g, 0)

@@ -70,6 +70,11 @@ class DGLLSpec extends SparkSpec {
     assert(DGLL.superstepSizes(5, 8).sum >= 5)
   }
 
+  test("DGLL rejects a superstep growth beta below 2") {
+    val g = GraphGen.grid(4, 4)
+    intercept[IllegalArgumentException](DGLL.run(spark, g, Ranking.byDegree(g), q = 2, beta = 1))
+  }
+
   test("disconnected graphs survive the distributed path") {
     val g = GraphGen.randomSparse(40, 30, 5, seed = 56)
     val r = Ranking.random(g.n, 56)
