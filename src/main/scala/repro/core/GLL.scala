@@ -17,8 +17,8 @@ import repro.graph.{CsrGraph, Ranking}
   * Because roots are claimed in rank order, every hub of superstep `s`
   * ranks strictly below every hub of superstep `s-1`; committing is
   * therefore a cheap *append*, tree by tree in root order, to the
-  * per-vertex rank-sorted global lists, done in parallel with one thread
-  * per vertex range. Cleaning is grouped by tree and needs the local table
+  * per-vertex global lists, sorted by hub position, done in parallel with
+  * one thread per vertex range. Cleaning is grouped by tree and needs the local table
   * only: each root's `local(h)` is snapshotted once into a dense array and
   * every label `(v, δ)` of its tree scans `local(v)`
   * ([[Cleaning.isRedundant]]). Construction already tested every label
@@ -49,12 +49,13 @@ object GLL {
 
   def run(g: CsrGraph, rank: Ranking, threads: Int, alpha: Double = 4.0): Result = {
     require(threads >= 1, s"threads must be at least 1, got $threads")
+    require(alpha > 0, s"superstep label limit alpha must be positive, got $alpha")
     val n  = g.n
     val t0 = System.nanoTime()
     val limit: Long =
       if (alpha.isPosInfinity) Long.MaxValue else math.max(1L, (alpha * n).toLong)
 
-    // Global table: per-vertex growable label lists, rank-sorted by the
+    // Global table: per-vertex growable label lists, sorted by the
     // append-only commit discipline above. Written only at superstep
     // barriers, so construction threads read it lock-free (the paper's
     // lock-avoidance point).
@@ -98,7 +99,7 @@ object GLL {
                 out.size = 0
                 val e = PrunedDijkstra.buildTree(
                   g, rank, root, tables, rankQueries = true, scratch,
-                  sink = (v, d) => { local.add(v, root, d); out.add(v, d) })
+                  sink = (v, d) => { local.add(v, i, d); out.add(v, d) })
                 treeV(i) = java.util.Arrays.copyOf(out.v, out.size)
                 treeD(i) = java.util.Arrays.copyOf(out.d, out.size)
                 labelsThisStep.addAndGet(out.size)
@@ -136,15 +137,14 @@ object GLL {
           val scratch = scratches(t)
           var p = cleanPos.getAndIncrement()
           while (p < b) {
-            val h  = rank.order(p)
             val tv = treeV(p); val td = treeD(p)
             scratch.reset()
-            local.appendRootSnapshot(h, scratch)
+            local.appendRootSnapshot(rank.order(p), scratch)
             val marks = new Array[Boolean](tv.length)
             var i = 0
             while (i < tv.length) {
               val lv = local.bufs(tv(i))
-              marks(i) = Cleaning.isRedundant(rank, h, td(i), scratch.rootDist, lv.hubs, lv.dists, lv.size)
+              marks(i) = Cleaning.isRedundant(p, td(i), scratch.rootDist, lv.hubs, lv.dists, lv.size)
               i += 1
             }
             redundant(p - a) = marks
@@ -154,20 +154,19 @@ object GLL {
           // Commit the survivors whose v is in this thread's vertex range,
           // root by root: each list has one writer, and every hub of this
           // superstep ranks below every hub already in global, so the
-          // lists stay rank-sorted.
+          // lists stay sorted by hub position.
           val lo = (n.toLong * t / threads).toInt
           val hi = (n.toLong * (t + 1) / threads).toInt
           var rm = 0L
           p = a
           while (p < b) {
-            val h  = rank.order(p)
             val tv = treeV(p); val td = treeD(p); val marks = redundant(p - a)
             var i = 0
             while (i < tv.length) {
               val v = tv(i)
               if (v >= lo && v < hi) {
                 if (marks(i)) rm += 1
-                else global.add(v, h, td(i))
+                else global.add(v, p, td(i))
               }
               i += 1
             }

@@ -4,7 +4,9 @@ import repro.graph.Ranking
 
 /** Growable per-vertex label lists: the one table layout every distance
   * query reads — GLL's global and local tables, a DGLL node's exchanged,
-  * own and superstep-local labels, and the Common Label Table.
+  * own and superstep-local labels, and the Common Label Table. Vertices
+  * index the lists; each label names its hub by rank position, so "`w`
+  * outranks `h`" is `w < h`.
   *
   * When `threadSafe` the per-vertex buffer object is its own lock — LCC and
   * paraPLL lock only the vertex being read/appended (the paper's point that
@@ -32,7 +34,9 @@ final class LabelBuffers(val n: Int, val threadSafe: Boolean) extends Serializab
   def add(v: Int, h: Int, d: Long): Unit =
     if (threadSafe) bufs(v).synchronized(bufs(v).add(h, d)) else bufs(v).add(h, d)
 
-  /** Copy `L_root` entries into the scratch's root snapshot. */
+  /** Copy `L_root` entries into the scratch's root snapshot, which is
+    * indexed by hub position.
+    */
   def appendRootSnapshot(root: Int, into: DijkstraScratch): Unit = {
     val b = bufs(root)
     def copy(): Unit = {
@@ -65,20 +69,45 @@ final class LabelBuffers(val n: Int, val threadSafe: Boolean) extends Serializab
     s
   }
 
-  /** A copy as a [[Labeling]], keeping each list's order: rank-descending
-    * as the rank-ordered root loops of SeqPLL and GLL's commit leave them,
-    * or sorted by the caller.
+  /** A copy as a [[Labeling]]. Lists that rank-ordered root loops filled
+    * (SeqPLL, GLL's commit) already ascend and are copied as they are; any
+    * other list is sorted by hub position on the way.
     */
-  def toLabeling(rank: Ranking): Labeling =
-    new Labeling(n,
-      Array.tabulate(n)(v => java.util.Arrays.copyOf(bufs(v).hubs, bufs(v).size)),
-      Array.tabulate(n)(v => java.util.Arrays.copyOf(bufs(v).dists, bufs(v).size)),
-      rank)
+  def toLabeling(rank: Ranking): Labeling = {
+    val total = labelCount
+    require(total <= Int.MaxValue, s"$total labels: a Labeling holds at most ${Int.MaxValue}")
+    val offsets = new Array[Int](n + 1)
+    val hubPos  = new Array[Int](total.toInt)
+    val pages   = Labeling.distPages(total.toInt)
+    var v = 0
+    while (v < n) {
+      val b = bufs(v); val lo = offsets(v)
+      offsets(v + 1) = lo + b.size
+      var i = 1
+      while (i < b.size && b.hubs(i - 1) < b.hubs(i)) i += 1
+      // an unsorted list is read in key order: hub position in the high 32
+      // bits of a key, list index in the low 32
+      val keys =
+        if (i >= b.size) null
+        else { val ks = Array.tabulate(b.size)(k => (b.hubs(k).toLong << 32) | k); java.util.Arrays.sort(ks); ks }
+      i = 0
+      while (i < b.size) {
+        val k = if (keys == null) i else keys(i).toInt
+        val j = lo + i
+        hubPos(j) = b.hubs(k)
+        pages(j >>> Labeling.PageBits)(j & Labeling.PageMask) = b.dists(k)
+        i += 1
+      }
+      v += 1
+    }
+    new Labeling(rank, offsets, hubPos, pages)
+  }
 }
 
 /** The redundancy check of Alg. 2 (`DQ_Clean`): a label `(h, delta) ∈ L_v`
   * is redundant iff a common hub `w` of `v` and `h` satisfies
-  * `d(w,v)+d(w,h) <= delta` with `R(w) > R(h)`.
+  * `d(w,v)+d(w,h) <= delta` with `w` outranking `h` — hubs being rank
+  * positions, `w < h`.
   *
   * Cleaning runs tree by tree: `L_h` is copied once into a dense snapshot
   * (`DijkstraScratch.rootDist`) and every label of `h`'s tree scans its own
@@ -91,20 +120,18 @@ final class LabelBuffers(val n: Int, val threadSafe: Boolean) extends Serializab
 object Cleaning {
   /** True iff a witness for `(h, delta)` lies among the first `lenV`
     * entries of `(hubsV, distsV)`, a part of `L_v`, given `rootDist`, the
-    * snapshot of `L_h`. The rank check runs only on a hit.
+    * snapshot of `L_h`.
     */
   def isRedundant(
-      rank: Ranking,
       h: Int,
       delta: Long,
       rootDist: Array[Long],
       hubsV: Array[Int], distsV: Array[Long], lenV: Int,
   ): Boolean = {
-    val rh = rank(h)
     var i = 0
     while (i < lenV) {
-      val w = hubsV(i); val dw = rootDist(w)
-      if (dw >= 0 && distsV(i) + dw <= delta && rank(w) > rh) return true
+      val w = hubsV(i)
+      if (w < h && rootDist(w) >= 0 && distsV(i) + rootDist(w) <= delta) return true
       i += 1
     }
     false

@@ -35,7 +35,7 @@ object ParaPLL {
             val root = rank.order(i)
             val e = PrunedDijkstra.buildTree(
               g, rank, root, tables, rankQueries = false, scratch,
-              sink = (v, d) => buffers.add(v, root, d))
+              sink = (v, d) => buffers.add(v, i, d))
             explored.addAndGet(e)
           }
         }
@@ -43,10 +43,7 @@ object ParaPLL {
     }
     workers.foreach(_.start())
     workers.foreach(_.join())
-    // concurrent trees append to a list out of rank order
-    val labeling = buffers.toLabeling(rank)
-    var v = 0
-    while (v < n) { Labeling.sortByRankDesc(rank, labeling.hubs(v), labeling.dists(v)); v += 1 }
-    Result(labeling, (System.nanoTime() - t0) / 1000000, explored.get())
+    // concurrent trees append to a list out of rank order: toLabeling sorts
+    Result(buffers.toLabeling(rank), (System.nanoTime() - t0) / 1000000, explored.get())
   }
 }

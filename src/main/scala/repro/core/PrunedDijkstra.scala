@@ -7,8 +7,8 @@ import repro.graph.{CsrGraph, Dijkstra, LongMinHeap, Ranking}
   * run.
   *
   * It also holds the dense root snapshot both label-set queries read (as in
-  * PLL): `rootDist(h)` is the root's distance to hub `h`, `-1` where the
-  * root has no label for `h`. [[reset]] clears only the entries set since
+  * PLL): `rootDist(h)` is the root's distance to the hub at rank position
+  * `h`, `-1` where the root has no label for it. [[reset]] clears only the entries set since
   * the last reset, so a stale entry never leaks into the next tree.
   */
 final class DijkstraScratch(n: Int) {

@@ -16,15 +16,15 @@ object SeqPLL {
     val tables  = Array(buffers)
     val scratch = new DijkstraScratch(g.n)
     var explored = 0L
-    var i = 0
-    while (i < g.n) {
-      val root = rank.order(i)
+    var p = 0
+    while (p < g.n) {
+      val pos = p
       explored += PrunedDijkstra.buildTree(
-        g, rank, root, tables, rankQueries = true, scratch,
-        sink = (v, d) => buffers.add(v, root, d))
-      i += 1
+        g, rank, rank.order(pos), tables, rankQueries = true, scratch,
+        sink = (v, d) => buffers.add(v, pos, d))
+      p += 1
     }
-    // roots ran in rank order, so every list is already rank-descending
+    // roots ran in rank order, so every list already ascends
     Result(buffers.toLabeling(rank), (System.nanoTime() - t0) / 1000000, explored)
   }
 }

@@ -33,6 +33,7 @@ object DGLL {
 
   private def runWith(spark: SparkSession, g: CsrGraph, rank: Ranking, q: Int, beta: Int,
                       paraPLL: Boolean): (Labeling, DistStats) = {
+    require(q >= 1, s"node count q must be at least 1, got $q")
     val sc  = spark.sparkContext
     val t0  = System.nanoTime()
     val acc = new SimCluster.StatsAccum
@@ -42,7 +43,7 @@ object DGLL {
       spark, bcGraph, bcRank, q, beta, paraPLL,
       hc = null, startPos = 0, priorOwned = SimCluster.emptyLabels(sc, q), acc)
     bcGraph.destroy(); bcRank.destroy()
-    SimCluster.finish(owned, g.n, rank, acc, t0, replicate = paraPLL)
+    SimCluster.finish(owned, rank, acc, t0, replicate = paraPLL)
   }
 
   /** Geometrically growing superstep sizes covering `total` roots. */
@@ -80,8 +81,7 @@ object DGLL {
       acc: SimCluster.StatsAccum,
   ): SimCluster.OwnedLabels = {
     val sc   = spark.sparkContext
-    val rank = bcRank.value
-    val n    = rank.n
+    val n    = bcRank.value.n
     val bcHc = if (hc != null) sc.broadcast(hc) else null
     val exploredAcc = sc.longAccumulator("explored")
 
@@ -89,8 +89,8 @@ object DGLL {
     // Global pruning table: labels exchanged so far in THIS phase (Hybrid's
     // pre-switch PLaNT labels are deliberately not here — they were never
     // broadcast; each node sees only its own slice of them). Each superstep's
-    // roots rank below all earlier ones, so committing appends to the
-    // rank-descending lists, as GLL's commit does. It is broadcast as it is:
+    // roots rank below all earlier ones, so committing appends to lists
+    // sorted by hub position, as GLL's commit does. It is broadcast as it is:
     // the driver appends to it only in `commit`, after the superstep's job
     // has finished and `bcGlobal.destroy()` has run, so no task reads it
     // while it grows (in local mode tasks share the driver's instance).
@@ -120,10 +120,10 @@ object DGLL {
           // this node's slice of the superstep's roots, in rank order
           var p = a + Math.floorMod(pid - a, q)
           while (p < b) {
-            val root = rk.order(p)
+            val pos = p
             explored += PrunedDijkstra.buildTree(
-              gg, rk, root, tables, rankQueries = !paraPLL, scratch,
-              sink = (v, d) => { local.add(v, root, d); out.add(v, root, d) })
+              gg, rk, rk.order(pos), tables, rankQueries = !paraPLL, scratch,
+              sink = (v, d) => { local.add(v, pos, d); out.add(v, pos, d) })
             p += q
           }
           exploredAcc.add(explored)
@@ -147,7 +147,7 @@ object DGLL {
           }
         }
 
-      commit(global, rank, q, a, b, survivors)
+      commit(global, q, a, b, survivors)
       owned = SimCluster.appendLabels(owned, sc.parallelize(survivors.toSeq, q))
     }
     acc.explored += exploredAcc.value
@@ -155,19 +155,18 @@ object DGLL {
     owned
   }
 
-  /** Appends the superstep's survivors to the driver's global table in rank
-    * order of their hubs: roots `a until b` in turn, each root's labels
-    * being one contiguous run of its owner's block.
+  /** Appends the superstep's survivors to the driver's global table in
+    * order of their hub positions: roots `a until b` in turn, each root's
+    * labels being one contiguous run of its owner's block.
     */
-  private def commit(global: LabelBuffers, rank: Ranking, q: Int, a: Int, b: Int,
+  private def commit(global: LabelBuffers, q: Int, a: Int, b: Int,
                      survivors: Array[NodeLabels]): Unit = {
     val cursor = new Array[Int](q)
     var p = a
     while (p < b) {
-      val root = rank.order(p)
-      val s    = survivors(p % q)
-      var i    = cursor(p % q)
-      while (i < s.size && s.h(i) == root) { global.add(s.v(i), root, s.d(i)); i += 1 }
+      val s = survivors(p % q)
+      var i = cursor(p % q)
+      while (i < s.size && s.h(i) == p) { global.add(s.v(i), p, s.d(i)); i += 1 }
       cursor(p % q) = i
       p += 1
     }
@@ -201,13 +200,14 @@ object DGLL {
         cand.foreach { c =>
           var i = 0
           while (i < c.size) {
-            // one run per root: snapshot lab(h) once for all its labels
+            // one run per root: snapshot lab(h) once for all its labels;
+            // h is a rank position, lab is indexed by vertex
             val h = c.h(i)
             scratch.reset()
-            lab.appendRootSnapshot(h, scratch)
+            lab.appendRootSnapshot(rk.order(h), scratch)
             while (i < c.size && c.h(i) == h) {
               val bv = lab.bufs(c.v(i))
-              res(k) = Cleaning.isRedundant(rk, h, c.d(i), scratch.rootDist, bv.hubs, bv.dists, bv.size)
+              res(k) = Cleaning.isRedundant(h, c.d(i), scratch.rootDist, bv.hubs, bv.dists, bv.size)
               i += 1; k += 1
             }
           }

@@ -28,6 +28,7 @@ object Hybrid {
       eta: Int = 16,
       batchSize: Int = 0,
   ): (Labeling, DistStats) = {
+    require(q >= 1, s"node count q must be at least 1, got $q")
     val sc  = spark.sparkContext
     val n   = g.n
     val t0  = System.nanoTime()
@@ -64,8 +65,8 @@ object Hybrid {
         var explored = 0L
         var p = a + Math.floorMod(pid - a, q)
         while (p < b) {
-          val root = rk.order(p)
-          explored += PlantTree.build(gg, rk, root, hct, scratch, sink = (v, d) => out.add(v, root, d))
+          val pos = p
+          explored += PlantTree.build(gg, rk, rk.order(pos), hct, scratch, sink = (v, d) => out.add(v, pos, d))
           p += q
         }
         exploredAcc.add(explored)
@@ -73,10 +74,7 @@ object Hybrid {
       }
       fresh.persist()
       // per node: labels planted, and those of top-η hubs for the common table
-      val planted = fresh.map { nl =>
-        val rk = bcRank.value
-        (nl.size.toLong, nl.select(i => rk.posOf(nl.h(i)) < etaEff))
-      }.collect()
+      val planted = fresh.map(nl => (nl.size.toLong, nl.select(nl.h(_) < etaEff))).collect()
       val labelsThisBatch = planted.map(_._1).sum
       acc.labelsGenerated += labelsThisBatch
       val exploredThisBatch = exploredAcc.value - lastExplored
@@ -104,7 +102,7 @@ object Hybrid {
         paraPLL = false, hc = hc,
         startPos = switchPos, priorOwned = owned, acc = acc)
     bcGraph.destroy(); bcRank.destroy()
-    SimCluster.finish(owned, n, rank, acc, t0, switchPos = switchPos,
+    SimCluster.finish(owned, rank, acc, t0, switchPos = switchPos,
       commonTableLabels = if (hc != null) hc.labelCount else 0)
   }
 }

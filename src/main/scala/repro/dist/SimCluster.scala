@@ -6,11 +6,11 @@ import repro.core.{LabelBuffers, Labeling}
 import repro.graph.Ranking
 
 /** The labels one simulated node stores, as parallel columns: label `i` says
-  * vertex `v(i)` is at distance `d(i)` from hub `h(i)`.
+  * vertex `v(i)` is at distance `d(i)` from the hub at rank position `h(i)`.
   *
   * A node stores exactly the labels of the hubs it owns, and every append
   * adds the labels of roots further down the rank order than any already
-  * stored; so in column order each vertex's hubs are rank-descending. A
+  * stored; so in column order each vertex's hub positions ascend. A
   * block a superstep or batch produces holds one contiguous run of labels
   * per root, in root order, which DGLL's commit and cleaning rely on.
   */
@@ -74,12 +74,12 @@ object NodeLabels {
   *
   * A cluster of `q` nodes is simulated as `q` Spark RDD partitions:
   * partition `i` is node `i` and holds one [[NodeLabels]] block, the labels
-  * of the hubs it owns (`owner(h) = posOf(h) mod q`, the paper's circular
-  * task split). New labels are produced already split by owner and appended
-  * partition by partition, so no stored label ever moves. Broadcasts are
-  * `sc.broadcast`, allreduce is `treeReduce`, and communication volume is
-  * metered in bytes by the driver using the paper's 12-byte-per-label
-  * accounting.
+  * of the hubs it owns (`owner(h) = h mod q` for the hub at rank position
+  * `h`, the paper's circular task split). New labels are produced already
+  * split by owner and appended partition by partition, so no stored label
+  * ever moves. Broadcasts are `sc.broadcast`, allreduce is `treeReduce`,
+  * and communication volume is metered in bytes by the driver using the
+  * paper's 12-byte-per-label accounting.
   */
 object SimCluster {
 
@@ -110,7 +110,6 @@ object SimCluster {
     */
   def finish(
       owned: OwnedLabels,
-      n: Int,
       rank: Ranking,
       acc: StatsAccum,
       t0: Long,
@@ -120,8 +119,9 @@ object SimCluster {
   ): (Labeling, DistStats) = {
     val blocks = owned.collect()
     owned.unpersist(blocking = false)
-    val all      = NodeLabels.concat(blocks.toSeq)
-    val labeling = Labeling.fromColumns(n, rank, all.v, all.h, all.d)
+    val store    = new LabelBuffers(rank.n, threadSafe = false)
+    blocks.foreach(_.addTo(store))
+    val labeling = store.toLabeling(rank)
     val perNode =
       if (replicate) Array.fill(blocks.length)(labeling.labelCount)
       else blocks.map(_.size.toLong)

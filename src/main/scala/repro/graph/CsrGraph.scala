@@ -1,7 +1,5 @@
 package repro.graph
 
-import org.apache.spark.sql.DataFrame
-
 /** Weighted graph in compressed-sparse-row form.
   *
   * Vertices are `0 until n`. For undirected graphs every edge is stored in
@@ -83,23 +81,5 @@ object CsrGraph {
       }
     }
     new CsrGraph(n, offsets, nbrs, wts)
-  }
-
-  /** Build from a DataFrame with columns `src`, `dst`, `w` (any numeric or
-    * string-numeric types). `n` is inferred as `max(id)+1` unless given.
-    */
-  def fromDataFrame(df: DataFrame, n: Int = -1, undirected: Boolean = true): CsrGraph = {
-    val triples = df.select("src", "dst", "w").collect().map { r =>
-      def asInt(i: Int): Int = r.get(i) match {
-        case l: Long   => l.toInt
-        case i2: Int   => i2
-        case s: String => s.toInt
-        case d: Double => d.toInt
-        case x         => throw new IllegalArgumentException(s"bad edge field $x")
-      }
-      (asInt(0), asInt(1), asInt(2))
-    }
-    val nn = if (n > 0) n else if (triples.isEmpty) 0 else triples.map(t => math.max(t._1, t._2)).max + 1
-    fromEdges(nn, triples.toIndexedSeq, undirected)
   }
 }

@@ -30,10 +30,6 @@ object Dijkstra {
     dist
   }
 
-  /** All-pairs distances via repeated Dijkstra (tests only; O(n·m·log n)). */
-  def allPairs(g: CsrGraph): Array[Array[Long]] =
-    Array.tabulate(g.n)(sssp(g, _))
-
   /** All-pairs distances via Floyd–Warshall — an implementation independent
     * from the heap code above, so the two can cross-check each other.
     */

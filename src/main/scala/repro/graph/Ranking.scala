@@ -16,19 +16,16 @@ final class Ranking(val rankOf: Array[Int]) extends Serializable {
   val order: Array[Int] = {
     val o = new Array[Int](n)
     var v = 0
-    while (v < n) { o(n - 1 - rankOf(v)) = v; v += 1 }
+    while (v < n) { o(posOf(v)) = v; v += 1 }
     o
   }
 
   def apply(v: Int): Int = rankOf(v)
 
-  /** Position from the top of the hierarchy (0 = most important). */
-  def posOf(v: Int): Int = n - 1 - rankOf(v)
-
-  /** Cluster node owning vertex `v`'s tree under the paper's circular task
-    * split: `TQ_i = { v | pos(v) mod q = i }` (§5.1).
+  /** Position from the top of the hierarchy (0 = most important). Every
+    * label table names a hub by its position, so hub order is integer order.
     */
-  def owner(v: Int, q: Int): Int = posOf(v) % q
+  def posOf(v: Int): Int = n - 1 - rankOf(v)
 }
 
 object Ranking {
@@ -107,14 +104,5 @@ object Ranking {
       }
     }
     byScore(score)
-  }
-
-  /** Identity ranking (vertex id = rank) for deterministic unit tests. */
-  def identity(n: Int): Ranking = new Ranking(Array.tabulate(n)(v => v))
-
-  /** Random permutation ranking for property tests. */
-  def random(n: Int, seed: Long): Ranking = {
-    val perm = new scala.util.Random(seed).shuffle((0 until n).toVector).toArray
-    new Ranking(perm)
   }
 }

@@ -3,7 +3,7 @@ package repro.query
 import scala.util.Random
 import org.apache.spark.sql.SparkSession
 import repro.core.Labeling
-import repro.graph.{Dijkstra, Ranking}
+import repro.graph.Ranking
 
 /** The three distributed query-serving modes of §6, on a `q`-node
   * simulated cluster (DESIGN.md §3: nodes = Spark partitions; network
@@ -51,6 +51,7 @@ object QueryModes {
   // ---------------------------------------------------------------- QLSN
   def qlsn(spark: SparkSession, labeling: Labeling, q: Int,
            us: Array[Int], vs: Array[Int]): ModeMetrics = {
+    require(q >= 1, s"node count q must be at least 1, got $q")
     val sc  = spark.sparkContext
     val bcL = sc.broadcast(labeling)
     val t0  = System.nanoTime()
@@ -69,18 +70,21 @@ object QueryModes {
   }
 
   // ---------------------------------------------------------------- QFDL
+  /** `rank` is the ranking `labeling` was built under. The labeling's hubs
+    * are already rank positions, which give each hub's owner directly.
+    */
   def qfdl(spark: SparkSession, labeling: Labeling, rank: Ranking, q: Int,
            us: Array[Int], vs: Array[Int]): ModeMetrics = {
+    require(q >= 1, s"node count q must be at least 1, got $q")
     val sc  = spark.sparkContext
     val bcL = sc.broadcast(labeling)
-    val bcR = sc.broadcast(rank)
     val t0 = System.nanoTime()
     // every node scans the whole batch over its 1/q slice of each label
     // set (hubs it owns), then partial results are MIN-reduced
     val res = sc.parallelize(0 until q, q)
       .map { node =>
-        val l = bcL.value; val r = bcR.value
-        Array.tabulate(us.length)(i => partialQuery(l, r, q, node, us(i), vs(i)))
+        val l = bcL.value
+        Array.tabulate(us.length)(i => l.query(us(i), vs(i), q, node))
       }
       .treeReduce { (x, y) =>
         val out = new Array[Long](x.length)
@@ -92,14 +96,9 @@ object QueryModes {
     val perQueryMicros = measureMergeMicros(labeling, us, vs)
     // per-node label bytes by hub owner
     val perNodeBytes = new Array[Long](q)
-    var v = 0
-    while (v < labeling.n) {
-      val hs = labeling.hubs(v)
-      var i = 0
-      while (i < hs.length) { perNodeBytes(rank.owner(hs(i), q)) += Labeling.BytesPerLabel; i += 1 }
-      v += 1
-    }
-    bcL.destroy(); bcR.destroy()
+    var k = 0
+    while (k < labeling.hubPos.length) { perNodeBytes(labeling.hubPos(k) % q) += Labeling.BytesPerLabel; k += 1 }
+    bcL.destroy()
     ModeMetrics("QFDL", res,
       throughputQps = us.length / elapsed,
       // each node does ~1/q of the merge work, plus a broadcast+reduce round
@@ -108,30 +107,10 @@ object QueryModes {
       memBytesMaxNode = perNodeBytes.max)
   }
 
-  /** Minimum over common hubs *owned by* `node` — QFDL's partial answer. */
-  private def partialQuery(l: Labeling, rank: Ranking, q: Int, node: Int,
-                           u: Int, v: Int): Long = {
-    val hu = l.hubs(u); val du = l.dists(u)
-    val hv = l.hubs(v); val dv = l.dists(v)
-    var i = 0; var j = 0
-    var best = Dijkstra.Inf
-    while (i < hu.length && j < hv.length) {
-      val ri = rank(hu(i)); val rj = rank(hv(j))
-      if (ri == rj) {
-        if (rank.owner(hu(i), q) == node) {
-          val s = du(i) + dv(j)
-          if (s < best) best = s
-        }
-        i += 1; j += 1
-      } else if (ri > rj) i += 1
-      else j += 1
-    }
-    best
-  }
-
   // ---------------------------------------------------------------- QDOL
   def qdol(spark: SparkSession, labeling: Labeling, q: Int,
            us: Array[Int], vs: Array[Int]): ModeMetrics = {
+    require(q >= 1, s"node count q must be at least 1, got $q")
     val sc = spark.sparkContext
     val z  = zeta(q)
     // node for an unordered part pair (p1 <= p2); same-part queries are
@@ -159,7 +138,9 @@ object QueryModes {
     val perQueryMicros = measureMergeMicros(labeling, us, vs)
     // per-node storage: full label sets of the node's two vertex parts
     val partBytes = Array.fill(z)(0L)
-    (0 until labeling.n).foreach(v => partBytes(v % z) += labeling.hubs(v).length * Labeling.BytesPerLabel)
+    (0 until labeling.n).foreach { v =>
+      partBytes(v % z) += (labeling.offsets(v + 1) - labeling.offsets(v)) * Labeling.BytesPerLabel
+    }
     val nodePairs = for (p1 <- 0 until z; p2 <- (p1 + 1) until z) yield (p1, p2)
     val perNodeBytes = nodePairs.map { case (p1, p2) => partBytes(p1) + partBytes(p2) }
     bcL.destroy()

@@ -1,12 +1,12 @@
 package repro
 
-import repro.graph.{CsrGraph, GraphGen}
+import repro.graph.GraphGen
 
 class SynthDataGraphSpec extends SparkSpec {
 
   test("roadGraphEdges round-trips through CsrGraph.fromDataFrame") {
     val df = SynthData.roadGraphEdges(spark, 5, 6, seed = 3)
-    val g  = CsrGraph.fromDataFrame(df, n = 30)
+    val g  = SynthData.fromDataFrame(df, n = 30)
     val direct = GraphGen.grid(5, 6, seed = 3)
     assert(g.n == direct.n && g.m == direct.m)
     assert((0 until g.n).forall(v => g.degree(v) == direct.degree(v)))
@@ -14,7 +14,7 @@ class SynthDataGraphSpec extends SparkSpec {
 
   test("scaleFreeGraphEdges round-trips through CsrGraph.fromDataFrame") {
     val df = SynthData.scaleFreeGraphEdges(spark, 60, 3, seed = 5)
-    val g  = CsrGraph.fromDataFrame(df, n = 60)
+    val g  = SynthData.fromDataFrame(df, n = 60)
     val direct = GraphGen.preferentialAttachment(60, 3, seed = 5)
     assert(g.n == direct.n && g.m == direct.m)
   }
@@ -33,7 +33,7 @@ class SynthDataGraphSpec extends SparkSpec {
   test("fromDataFrame infers n from the edge list") {
     import spark.implicits._
     val df = Seq((0, 4, 2), (1, 2, 3)).toDF("src", "dst", "w")
-    val g  = CsrGraph.fromDataFrame(df)
+    val g  = SynthData.fromDataFrame(df)
     assert(g.n == 5)
   }
 }

@@ -1,11 +1,43 @@
 package repro
 
 import org.scalatest.Assertions._
-import repro.core.{Labeling, ReferenceCHL}
+import repro.core.{LabelBuffers, Labeling, ReferenceCHL}
 import repro.graph.{CsrGraph, Dijkstra, GraphGen, Ranking}
 
-/** Shared fixtures and assertions for the labeling test suites. */
+/** Shared fixtures, helpers and assertions for the labeling test suites. */
 object TestUtil {
+
+  /** A single hub label: vertex `v` knows its distance `d` to hub `h`. */
+  final case class LabelTriple(v: Int, h: Int, d: Long)
+
+  /** A labeling's labels as triples, hubs as vertex ids. */
+  implicit final class LabelingTriples(private val l: Labeling) extends AnyVal {
+    def triples: Iterator[LabelTriple] =
+      (0 until l.n).iterator.flatMap { v =>
+        val hs = l.hubs(v); val ds = l.dists(v)
+        hs.indices.iterator.map(i => LabelTriple(v, hs(i), ds(i)))
+      }
+
+    /** Label set for equality checks against the canonical reference. */
+    def tripleSet: Set[(Int, Int, Long)] = triples.map(t => (t.v, t.h, t.d)).toSet
+  }
+
+  /** The labeling of `(v, h, d)` triples in any order, hubs as vertex ids. */
+  def fromTriples(rank: Ranking, ts: Iterable[(Int, Int, Long)]): Labeling = {
+    val store = new LabelBuffers(rank.n, threadSafe = false)
+    ts.foreach { case (v, h, d) => store.add(v, rank.posOf(h), d) }
+    store.toLabeling(rank)
+  }
+
+  /** All-pairs distances via repeated Dijkstra (O(n·m·log n)). */
+  def allPairs(g: CsrGraph): Array[Array[Long]] = Array.tabulate(g.n)(Dijkstra.sssp(g, _))
+
+  /** Identity ranking (vertex id = rank) for deterministic unit tests. */
+  def identityRanking(n: Int): Ranking = new Ranking(Array.tabulate(n)(v => v))
+
+  /** Random permutation ranking for property tests. */
+  def randomRanking(n: Int, seed: Long): Ranking =
+    new Ranking(new scala.util.Random(seed).shuffle((0 until n).toVector).toArray)
 
   /** A varied family of small graphs keyed by seed: sparse (possibly
     * disconnected), connected random, grid, preferential attachment.
@@ -19,8 +51,8 @@ object TestUtil {
 
   /** Matching ranking family: identity, random, degree, betweenness. */
   def rankingFor(g: CsrGraph, seed: Int): Ranking = (seed % 4) match {
-    case 0 => Ranking.identity(g.n)
-    case 1 => Ranking.random(g.n, seed)
+    case 0 => identityRanking(g.n)
+    case 1 => randomRanking(g.n, seed)
     case 2 => Ranking.byDegree(g)
     case _ => Ranking.byApproxBetweenness(g, samples = 8, seed = seed)
   }
@@ -29,7 +61,7 @@ object TestUtil {
     * distance exactly (including Inf for disconnected pairs).
     */
   def assertCover(l: Labeling, g: CsrGraph): Unit = {
-    val d = Dijkstra.allPairs(g)
+    val d = allPairs(g)
     var bad = List.empty[String]
     for (u <- 0 until g.n; v <- 0 until g.n) {
       val got = l.query(u, v)
@@ -50,7 +82,7 @@ object TestUtil {
       s"${missing.size} missing (e.g. ${missing.take(3)})")
   }
 
-  /** Label-set equality, vertex by vertex (both labelings rank-sorted). */
+  /** Label-set equality, vertex by vertex. */
   def assertSameLabels(expected: Labeling, got: Labeling, what: String): Unit = {
     assert(got.n == expected.n, s"$what: n=${got.n}, expected ${expected.n}")
     val bad = (0 until expected.n).filterNot(v =>

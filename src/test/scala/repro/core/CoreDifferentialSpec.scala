@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.graph.{CsrGraph, GraphGen, Ranking}
+import repro.TestUtil._
 
 /** GLL and LCC against SeqPLL on graphs large enough that concurrent trees
   * race within a superstep and cleaning removes real mistakes, a regime the
@@ -54,7 +55,7 @@ class CoreDifferentialSpec extends AnyFunSuite {
       val again = tree(root, reused)
       val fresh = tree(root, new DijkstraScratch(g.n))
       assert(again == fresh, s"root $root (position $p)")
-      fresh.foreach { case (v, d) => buffers.add(v, root, d) }
+      fresh.foreach { case (v, d) => buffers.add(v, p, d) }
     }
     assert(buffers.toLabeling(rank).tripleSet == SeqPLL.run(g, rank).labeling.tripleSet)
   }

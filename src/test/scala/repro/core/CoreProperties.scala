@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop, Properties}
 import repro.graph.{CsrGraph, Dijkstra, GraphGen, LongMinHeap, Ranking}
+import repro.TestUtil._
 
 /** ScalaCheck property suites over the pure (non-Spark) core.
   *
@@ -21,7 +22,7 @@ object CoreProperties extends Properties("repro.core") {
   private val graphWithRank: Gen[(CsrGraph, Ranking)] = for {
     g    <- smallGraph
     seed <- Gen.choose(0L, 1000000L)
-  } yield (g, Ranking.random(g.n, seed))
+  } yield (g, randomRanking(g.n, seed))
 
   property("heap pops every pushed element in nondecreasing order") =
     Prop.forAll(Gen.listOf(Gen.zip(Gen.choose(0L, 1 << 20), Gen.choose(0, 1000)))) { items =>
@@ -46,7 +47,7 @@ object CoreProperties extends Properties("repro.core") {
 
   property("Dijkstra agrees with Floyd-Warshall") =
     Prop.forAll(smallGraph) { g =>
-      val a = Dijkstra.allPairs(g)
+      val a = allPairs(g)
       val b = Dijkstra.floydWarshall(g)
       (0 until g.n).forall(u => a(u).sameElements(b(u)))
     }
@@ -59,7 +60,7 @@ object CoreProperties extends Properties("repro.core") {
   property("seqPLL labeling answers every pair like Dijkstra") =
     Prop.forAll(graphWithRank) { case (g, r) =>
       val l = SeqPLL.run(g, r).labeling
-      val d = Dijkstra.allPairs(g)
+      val d = allPairs(g)
       (0 until g.n).forall(u => (0 until g.n).forall(v => l.query(u, v) == d(u)(v)))
     }
 
@@ -85,7 +86,7 @@ object CoreProperties extends Properties("repro.core") {
   property("paraPLL labeling still covers all pairs") =
     Prop.forAll(graphWithRank) { case (g, r) =>
       val l = ParaPLL.run(g, r, threads = 4).labeling
-      val d = Dijkstra.allPairs(g)
+      val d = allPairs(g)
       (0 until g.n).forall(u => (0 until g.n).forall(v => l.query(u, v) == d(u)(v)))
     }
 
@@ -100,14 +101,21 @@ object CoreProperties extends Properties("repro.core") {
       SeqPLL.run(g, r).labeling.triples.forall(t => t.v == t.h || r(t.h) > r(t.v))
     }
 
-  property("sortByRankDesc sorts any parallel label arrays") =
+  property("toLabeling sorts labels added in random order by hub position") =
     Prop.forAll(graphWithRank, Gen.choose(0L, 1000L)) { case ((g, r), seed) =>
-      val rnd  = new scala.util.Random(seed)
-      val hubs = Array.fill(rnd.nextInt(20))(rnd.nextInt(g.n))
-      val dist = hubs.map(h => h.toLong * 7)
-      Labeling.sortByRankDesc(r, hubs, dist)
-      val ordered = hubs.toSeq.zip(hubs.toSeq.drop(1)).forall { case (a, b) => r(a) >= r(b) }
-      val paired  = hubs.zip(dist).forall { case (h, d) => d == h.toLong * 7 }
-      ordered && paired
+      // the canonical (vertex, hub position) pairs in random order, each
+      // with a distance that names its pair
+      val l = SeqPLL.run(g, r).labeling
+      def tag(v: Int, p: Int): Long = v.toLong * g.n + p
+      val labels = (0 until g.n).flatMap(v =>
+        (l.offsets(v) until l.offsets(v + 1)).map(k => (v, l.hubPos(k), tag(v, l.hubPos(k)))))
+      val store = new LabelBuffers(g.n, threadSafe = false)
+      new scala.util.Random(seed).shuffle(labels).foreach { case (v, p, d) => store.add(v, p, d) }
+      val s = store.toLabeling(r)
+      val out = (0 until g.n).flatMap(v =>
+        (s.offsets(v) until s.offsets(v + 1)).map(k => (v, s.hubPos(k), s.hubDist(k))))
+      val ascending = out.zip(out.drop(1)).forall { case (a, b) => a._1 != b._1 || a._2 < b._2 }
+      val paired    = out.forall { case (v, p, d) => d == tag(v, p) }
+      ascending && paired && out.sorted == labels.sorted
     }
 }

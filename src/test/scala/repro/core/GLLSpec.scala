@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.graph.GraphGen
+import repro.TestUtil._
 
 class GLLSpec extends AnyFunSuite {
 
@@ -62,6 +63,15 @@ class GLLSpec extends AnyFunSuite {
     val r = TestUtil.rankingFor(g, 0)
     intercept[IllegalArgumentException](GLL.run(g, r, threads = 0))
     intercept[IllegalArgumentException](GLL.runLCC(g, r, threads = 0))
+  }
+
+  test("GLL rejects an alpha that is not positive") {
+    val g = GraphGen.grid(4, 4)
+    val r = TestUtil.rankingFor(g, 0)
+    for (alpha <- Seq(0.0, -1.0, Double.NegativeInfinity, Double.NaN)) {
+      val e = intercept[IllegalArgumentException](GLL.run(g, r, threads = 2, alpha))
+      assert(e.getMessage.contains("alpha must be positive"), s"alpha=$alpha")
+    }
   }
 
   test("GLL ALS equals the reference CHL ALS") {

@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.graph.GraphGen
+import repro.TestUtil._
 
 class LCCSpec extends AnyFunSuite {
 

@@ -1,6 +1,7 @@
 package repro.core
 
 import scala.collection.mutable
+import repro.TestUtil
 import repro.graph.{CsrGraph, Dijkstra, Ranking}
 
 /** Brute-force Canonical Hub Labeling — the correctness oracle.
@@ -11,13 +12,13 @@ import repro.graph.{CsrGraph, Dijkstra, Ranking}
   * `u–v` paths is added as a hub of both `u` and `v`. The result is the
   * unique minimal labeling that respects `R`.
   *
-  * O(n^3) — tests only (n ≲ 100).
+  * O(n^3) — small graphs only (n ≲ 100).
   */
 object ReferenceCHL {
 
   def labelSet(g: CsrGraph, rank: Ranking): Set[(Int, Int, Long)] = {
     val n = g.n
-    val d = Dijkstra.allPairs(g)
+    val d = TestUtil.allPairs(g)
     val out = mutable.Set.empty[(Int, Int, Long)]
     var u = 0
     while (u < n) {
@@ -41,7 +42,5 @@ object ReferenceCHL {
     out.toSet
   }
 
-  def apply(g: CsrGraph, rank: Ranking): Labeling =
-    Labeling.fromTriples(g.n, rank,
-      labelSet(g, rank).iterator.map { case (v, h, dd) => LabelTriple(v, h, dd) })
+  def apply(g: CsrGraph, rank: Ranking): Labeling = TestUtil.fromTriples(rank, labelSet(g, rank))
 }

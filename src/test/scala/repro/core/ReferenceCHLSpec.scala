@@ -3,13 +3,14 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.graph.{CsrGraph, GraphGen, Ranking}
+import repro.TestUtil._
 
 class ReferenceCHLSpec extends AnyFunSuite {
 
   test("path graph with identity ranking") {
     // 0 -1- 1 -1- 2, rank(v)=v. Pairs: (0,1)→hub 1; (0,2)→hub 2; (1,2)→hub 2
     val g = CsrGraph.fromEdges(3, Seq((0, 1, 1), (1, 2, 1)))
-    val r = Ranking.identity(3)
+    val r = identityRanking(3)
     assert(ReferenceCHL.labelSet(g, r) == Set(
       (0, 0, 0L), (1, 1, 0L), (2, 2, 0L), // self labels via (v,v) pairs
       (0, 1, 1L),                         // pair (0,1)
@@ -18,7 +19,7 @@ class ReferenceCHLSpec extends AnyFunSuite {
 
   test("star graph: center ranked highest covers everything") {
     val g = CsrGraph.fromEdges(4, Seq((3, 0, 2), (3, 1, 3), (3, 2, 4)))
-    val r = Ranking.identity(4)
+    val r = identityRanking(4)
     val s = ReferenceCHL.labelSet(g, r)
     // every vertex has the center as hub plus its self label, nothing else
     assert(s == Set((0, 0, 0L), (1, 1, 0L), (2, 2, 0L), (3, 3, 0L),
@@ -27,7 +28,7 @@ class ReferenceCHLSpec extends AnyFunSuite {
 
   test("disconnected components never share hubs") {
     val g = CsrGraph.fromEdges(4, Seq((0, 1, 1), (2, 3, 1)))
-    val r = Ranking.identity(4)
+    val r = identityRanking(4)
     val s = ReferenceCHL.labelSet(g, r)
     assert(!s.exists { case (v, h, _) => (v < 2) != (h < 2) })
   }
@@ -35,7 +36,7 @@ class ReferenceCHLSpec extends AnyFunSuite {
   test("tie between shortest paths picks the highest-ranked hub") {
     // two equal-length 0→3 paths through 1 and through 2; rank(2)>rank(1)
     val g = CsrGraph.fromEdges(4, Seq((0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 3, 1)))
-    val r = Ranking.identity(4)
+    val r = identityRanking(4)
     val s = ReferenceCHL.labelSet(g, r)
     assert(s.contains((0, 3, 2L)) && s.contains((3, 3, 0L)))
     // pair (0,3) is covered by hub 3 itself (max on the path), so no label
@@ -58,8 +59,7 @@ class ReferenceCHLSpec extends AnyFunSuite {
       val l    = ReferenceCHL(g, r)
       // deleting any single label must change some query answer
       full.foreach { case (v, h, d) =>
-        val reduced = Labeling.fromTriples(g.n, r,
-          full.iterator.filterNot(_ == ((v, h, d))).map { case (a, b, c) => LabelTriple(a, b, c) })
+        val reduced = fromTriples(r, full.filterNot(_ == ((v, h, d))))
         val changed = (0 until g.n).exists(u => reduced.query(v, u) != l.query(v, u))
         assert(changed, s"label ($v,$h,$d) is redundant in the reference CHL")
       }

@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.graph.{CsrGraph, GraphGen, Ranking}
+import repro.TestUtil._
 
 class SeqPLLSpec extends AnyFunSuite {
 
@@ -31,21 +32,21 @@ class SeqPLLSpec extends AnyFunSuite {
 
   test("every vertex gets a self label") {
     val g = GraphGen.randomSparse(25, 40, 5, seed = 6)
-    val r = Ranking.random(g.n, 6)
+    val r = randomRanking(g.n, 6)
     val l = SeqPLL.run(g, r).labeling
     (0 until g.n).foreach(v => assert(l.tripleSet.contains((v, v, 0L)), s"no self label at $v"))
   }
 
   test("hubs always outrank the labeled vertex (rank queries)") {
     val g = GraphGen.randomConnected(30, 10, 6, seed = 7)
-    val r = Ranking.random(g.n, 7)
+    val r = randomRanking(g.n, 7)
     val l = SeqPLL.run(g, r).labeling
     l.triples.foreach(t => assert(t.v == t.h || r(t.h) > r(t.v), s"hub ${t.h} below vertex ${t.v}"))
   }
 
   test("highest-ranked vertex has only its self label") {
     val g = GraphGen.randomConnected(20, 8, 4, seed = 8)
-    val r = Ranking.random(g.n, 8)
+    val r = randomRanking(g.n, 8)
     val l = SeqPLL.run(g, r).labeling
     val top = r.order(0)
     assert(l.hubs(top).toSeq == Seq(top))
@@ -53,14 +54,14 @@ class SeqPLLSpec extends AnyFunSuite {
 
   test("isolated vertices label only themselves") {
     val g = CsrGraph.fromEdges(5, Seq((0, 1, 1))) // 2,3,4 isolated
-    val r = Ranking.identity(5)
+    val r = identityRanking(5)
     val l = SeqPLL.run(g, r).labeling
     Seq(2, 3, 4).foreach(v => assert(l.tripleSet.filter(_._1 == v) == Set((v, v, 0L))))
   }
 
   test("explored is at least the number of labels") {
     val g = GraphGen.grid(4, 4)
-    val r = Ranking.identity(g.n)
+    val r = identityRanking(g.n)
     val res = SeqPLL.run(g, r)
     assert(res.explored >= res.labeling.labelCount)
   }

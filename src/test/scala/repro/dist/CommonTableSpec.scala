@@ -3,17 +3,19 @@ package repro.dist
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{DijkstraScratch, LabelBuffers}
 import repro.graph.{GraphGen, Ranking}
+import repro.TestUtil._
 
 /** The Common Label Table: a [[LabelBuffers]] of the top-η hubs' labels,
   * queried through a dense `L_root` snapshot as [[PlantTree]] and DGLL do.
   */
 class CommonTableSpec extends AnyFunSuite {
 
-  private val rank = Ranking.identity(6) // order = 5,4,3,2,1,0; pos(5)=0
+  private val rank = identityRanking(6) // order = 5,4,3,2,1,0; pos(5)=0
 
+  /** A table of `(v, h, d)` labels, hub `h` given as a vertex. */
   private def table(ts: (Int, Int, Long)*): LabelBuffers = {
     val t = new LabelBuffers(6, threadSafe = false)
-    ts.foreach { case (v, h, d) => t.add(v, h, d) }
+    ts.foreach { case (v, h, d) => t.add(v, rank.posOf(h), d) }
     t
   }
 
@@ -56,17 +58,15 @@ class CommonTableSpec extends AnyFunSuite {
     val eta = 8
     val planted = new LabelBuffers(g.n, threadSafe = false)
     val scratch = new DijkstraScratch(g.n)
-    for (p <- 0 until eta) {
-      val root = r.order(p)
-      PlantTree.build(g, r, root, null, scratch, sink = (v, d) => planted.add(v, root, d))
-    }
+    for (p <- 0 until eta)
+      PlantTree.build(g, r, r.order(p), null, scratch, sink = (v, d) => planted.add(v, p, d))
     assert(planted.labelCount > 0)
     for (p <- eta until g.n) {
       val root = r.order(p)
       scratch.reset()
       planted.appendRootSnapshot(root, scratch)
       for (h <- 0 until g.n if scratch.rootDist(h) >= 0)
-        assert(r.posOf(h) < p, s"hub $h in the snapshot of root $root")
+        assert(h < p, s"hub ${r.order(h)} (position $h) in the snapshot of root $root")
     }
   }
 

@@ -3,6 +3,7 @@ package repro.dist
 import repro.{SparkSpec, TestUtil}
 import repro.core.SeqPLL
 import repro.graph.{GraphGen, Ranking}
+import repro.TestUtil._
 
 class DGLLSpec extends SparkSpec {
 
@@ -75,9 +76,19 @@ class DGLLSpec extends SparkSpec {
     intercept[IllegalArgumentException](DGLL.run(spark, g, Ranking.byDegree(g), q = 2, beta = 1))
   }
 
+  test("DGLL and DparaPLL reject a node count q below 1") {
+    val g = GraphGen.grid(4, 4)
+    val r = Ranking.byDegree(g)
+    for (q <- Seq(0, -1)) {
+      val e = intercept[IllegalArgumentException](DGLL.run(spark, g, r, q))
+      assert(e.getMessage.contains("q must be at least 1"))
+      intercept[IllegalArgumentException](DGLL.runParaPLL(spark, g, r, q))
+    }
+  }
+
   test("disconnected graphs survive the distributed path") {
     val g = GraphGen.randomSparse(40, 30, 5, seed = 56)
-    val r = Ranking.random(g.n, 56)
+    val r = randomRanking(g.n, 56)
     val (l, _) = DGLL.run(spark, g, r, q = 4)
     TestUtil.assertCover(l, g)
     TestUtil.assertCanonical(l, g, r)

@@ -3,6 +3,7 @@ package repro.dist
 import repro.{SparkSpec, TestUtil}
 import repro.core.SeqPLL
 import repro.graph.{GraphGen, Ranking}
+import repro.TestUtil._
 
 class HybridSpec extends SparkSpec {
 
@@ -66,6 +67,16 @@ class HybridSpec extends SparkSpec {
     val expected = l.triples.count(t => r.posOf(t.h) < eta)
     assert(expected > 0)
     assert(stats.commonTableLabels == expected)
+  }
+
+  test("Hybrid and PLaNT reject a node count q below 1") {
+    val g = GraphGen.grid(4, 4)
+    val r = Ranking.byDegree(g)
+    for (q <- Seq(0, -1)) {
+      val e = intercept[IllegalArgumentException](Hybrid.run(spark, g, r, q))
+      assert(e.getMessage.contains("q must be at least 1"))
+      intercept[IllegalArgumentException](Plant.run(spark, g, r, q))
+    }
   }
 
   test("Hybrid label storage stays partitioned across the switch") {

@@ -4,6 +4,7 @@ import repro.{SparkSpec, TestUtil}
 import scala.collection.mutable.ArrayBuffer
 import repro.core.{DijkstraScratch, LabelBuffers, SeqPLL}
 import repro.graph.{GraphGen, Ranking}
+import repro.TestUtil._
 
 class PlantSpec extends SparkSpec {
 
@@ -57,7 +58,7 @@ class PlantSpec extends SparkSpec {
     // stop as soon as all frontier ancestors outrank it
     val n = 50
     val g = repro.graph.CsrGraph.fromEdges(n, (0 until n - 1).map(i => (i, i + 1, 1)))
-    val r = Ranking.identity(n)
+    val r = identityRanking(n)
     val scratch = new DijkstraScratch(n)
     var labels = 0
     val explored = PlantTree.build(g, r, root = 0, hc = null, scratch, (_, _) => labels += 1)
@@ -87,8 +88,8 @@ class PlantSpec extends SparkSpec {
       val eta = 16
       val seq = SeqPLL.run(g, r).labeling
       val hc  = new LabelBuffers(g.n, threadSafe = false)
-      for (v <- 0 until g.n; i <- seq.hubs(v).indices if r.posOf(seq.hubs(v)(i)) < eta)
-        hc.add(v, seq.hubs(v)(i), seq.dists(v)(i))
+      for (v <- 0 until g.n; k <- seq.offsets(v) until seq.offsets(v + 1) if seq.hubPos(k) < eta)
+        hc.add(v, seq.hubPos(k), seq.hubDist(k))
       val scratch = new DijkstraScratch(g.n)
       def plant(root: Int, table: LabelBuffers): (Seq[(Int, Long)], Long) = {
         val out = ArrayBuffer.empty[(Int, Long)]

@@ -2,6 +2,7 @@ package repro.dist
 
 import repro.SparkSpec
 import repro.graph.{GraphGen, Ranking}
+import repro.TestUtil._
 
 class SimClusterSpec extends SparkSpec {
 
@@ -30,14 +31,14 @@ class SimClusterSpec extends SparkSpec {
   test("finish reports per-node counts that sum to the total") {
     val sc   = spark.sparkContext
     val q    = 3
-    val rank = Ranking.identity(9)
-    // node i owns hubs at positions i, i+3, i+6 (hub 8 - pos)
+    val rank = identityRanking(9)
+    // node i owns the hubs at positions i, i+3, i+6 (vertices 8 - pos)
     val owned = sc.parallelize((0 until q).map { i =>
-      val hubs = (i until 9 by q).map(pos => 8 - pos)
+      val hubs = i until 9 by q
       new NodeLabels(hubs.flatMap(_ => Seq(1, 2)).toArray, hubs.flatMap(h => Seq(h, h)).toArray,
         hubs.flatMap(_ => Seq(1L, 2L)).toArray)
     }, q)
-    val (l, stats) = SimCluster.finish(owned, 9, rank, new SimCluster.StatsAccum, System.nanoTime())
+    val (l, stats) = SimCluster.finish(owned, rank, new SimCluster.StatsAccum, System.nanoTime())
     assert(stats.perNodeLabels.toSeq == Seq(6L, 6L, 6L))
     assert(l.labelCount == 18 && stats.labelsFinal == 18)
     assert(l.hubs(1).toSeq == (8 to 0 by -1), "each vertex's hubs must be rank-descending")

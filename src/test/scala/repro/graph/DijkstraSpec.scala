@@ -1,6 +1,7 @@
 package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestUtil._
 
 class DijkstraSpec extends AnyFunSuite {
 
@@ -28,7 +29,7 @@ class DijkstraSpec extends AnyFunSuite {
   for (seed <- 1 to 16)
     test(s"Dijkstra matches Floyd-Warshall on random graph (seed=$seed)") {
       val g  = GraphGen.randomSparse(15 + seed, 30 + 2 * seed, maxW = 9, seed)
-      val dj = Dijkstra.allPairs(g)
+      val dj = allPairs(g)
       val fw = Dijkstra.floydWarshall(g)
       for (u <- 0 until g.n; v <- 0 until g.n)
         assert(dj(u)(v) == fw(u)(v), s"($u,$v): ${dj(u)(v)} vs ${fw(u)(v)}")
@@ -36,7 +37,7 @@ class DijkstraSpec extends AnyFunSuite {
 
   test("symmetric distances on undirected graphs") {
     val g = GraphGen.randomSparse(25, 50, maxW = 6, seed = 9)
-    val d = Dijkstra.allPairs(g)
+    val d = allPairs(g)
     for (u <- 0 until g.n; v <- 0 until g.n) assert(d(u)(v) == d(v)(u))
   }
 

@@ -1,17 +1,18 @@
 package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestUtil._
 
 class RankingSpec extends AnyFunSuite {
 
   test("identity ranking: rank equals vertex id") {
-    val r = Ranking.identity(5)
+    val r = identityRanking(5)
     assert((0 until 5).forall(v => r(v) == v))
     assert(r.order.toSeq == Seq(4, 3, 2, 1, 0))
   }
 
   test("order and posOf are inverses") {
-    val r = Ranking.random(40, seed = 3)
+    val r = randomRanking(40, seed = 3)
     (0 until 40).foreach(i => assert(r.posOf(r.order(i)) == i))
   }
 
@@ -51,16 +52,7 @@ class RankingSpec extends AnyFunSuite {
     assert(r.rankOf.sorted.sameElements(0 until g.n))
   }
 
-  test("owner splits the queue circularly by rank position") {
-    val r = Ranking.random(20, seed = 5)
-    for (q <- Seq(1, 2, 4, 7)) {
-      (0 until 20).foreach(v => assert(r.owner(v, q) == r.posOf(v) % q))
-      val sizes = (0 until 20).groupBy(r.owner(_, q)).view.mapValues(_.size)
-      assert(sizes.values.max - sizes.values.min <= 1, s"q=$q imbalanced")
-    }
-  }
-
   test("random ranking is deterministic in the seed") {
-    assert(Ranking.random(30, 7).rankOf.sameElements(Ranking.random(30, 7).rankOf))
+    assert(randomRanking(30, 7).rankOf.sameElements(randomRanking(30, 7).rankOf))
   }
 }

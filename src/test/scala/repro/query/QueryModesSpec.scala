@@ -3,6 +3,7 @@ package repro.query
 import repro.{SparkSpec, TestUtil}
 import repro.core.GLL
 import repro.graph.{Dijkstra, GraphGen, Ranking}
+import repro.TestUtil._
 
 class QueryModesSpec extends SparkSpec {
 
@@ -17,7 +18,7 @@ class QueryModesSpec extends SparkSpec {
     test(s"all three modes agree with Dijkstra (seed=$seed)") {
       val (g, r, l) = fixture(seed)
       val (us, vs)  = QueryModes.genQueries(g.n, 300, seed)
-      val d         = Dijkstra.allPairs(g)
+      val d         = allPairs(g)
       val qlsn = QueryModes.qlsn(spark, l, 16, us, vs)
       val qfdl = QueryModes.qfdl(spark, l, r, 16, us, vs)
       val qdol = QueryModes.qdol(spark, l, 16, us, vs)
@@ -67,6 +68,16 @@ class QueryModesSpec extends SparkSpec {
     assert(qdol.latencyMicros < qfdl.latencyMicros)
   }
 
+  test("every query mode rejects a node count q below 1") {
+    val (_, r, l) = fixture(2)
+    val (us, vs)  = QueryModes.genQueries(l.n, 20, 2)
+    for (q <- Seq(0, -1)) {
+      intercept[IllegalArgumentException](QueryModes.qlsn(spark, l, q, us, vs))
+      intercept[IllegalArgumentException](QueryModes.qfdl(spark, l, r, q, us, vs))
+      intercept[IllegalArgumentException](QueryModes.qdol(spark, l, q, us, vs))
+    }
+  }
+
   test("genQueries is deterministic and in range") {
     val (us1, vs1) = QueryModes.genQueries(100, 500, 9)
     val (us2, vs2) = QueryModes.genQueries(100, 500, 9)
@@ -76,7 +87,7 @@ class QueryModesSpec extends SparkSpec {
 
   test("modes agree on a disconnected graph (Inf results included)") {
     val g = GraphGen.randomSparse(30, 18, 5, seed = 11)
-    val r = Ranking.random(g.n, 11)
+    val r = randomRanking(g.n, 11)
     val l = GLL.run(g, r, 4).labeling
     val (us, vs) = QueryModes.genQueries(g.n, 200, 11)
     val a = QueryModes.qlsn(spark, l, 16, us, vs).distances
