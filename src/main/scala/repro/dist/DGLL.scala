@@ -39,11 +39,11 @@ object DGLL {
     val acc = new SimCluster.StatsAccum
     val bcGraph = sc.broadcast(g)
     val bcRank  = sc.broadcast(rank)
-    val owned = runSupersteps(
-      spark, bcGraph, bcRank, q, beta, paraPLL,
-      hc = null, startPos = 0, priorOwned = SimCluster.emptyLabels(sc, q), acc)
+    val prior   = SimCluster.emptyLabels(sc, q)
+    val global  = runSupersteps(spark, bcGraph, bcRank, q, beta, paraPLL,
+      hc = null, startPos = 0, prior, acc)
     bcGraph.destroy(); bcRank.destroy()
-    SimCluster.finish(owned, rank, acc, t0, replicate = paraPLL)
+    SimCluster.finish(prior, global, rank, acc, t0, replicate = paraPLL)
   }
 
   /** Geometrically growing superstep sizes covering `total` roots. */
@@ -58,15 +58,15 @@ object DGLL {
 
   /** The superstep engine, reusable by Hybrid's post-switch phase.
     *
-    * @param paraPLL     DparaPLL: no rank queries and no cleaning
-    * @param hc          optional Common Label Table consulted by distance
-    *                    queries on every node (§5.3)
-    * @param priorOwned  labels already stored per node (Hybrid's PLaNT
-    *                    phase output); visible for pruning only to their
-    *                    owner, and as cleaning witnesses to everyone via
-    *                    the bitvector scheme. Consumed: released once the
-    *                    first superstep's labels are appended.
-    * @return the final store, for the caller to [[SimCluster.finish]]
+    * @param paraPLL  DparaPLL: no rank queries and no cleaning
+    * @param hc       optional Common Label Table consulted by distance
+    *                 queries on every node (§5.3)
+    * @param prior    labels stored per node before this phase (Hybrid's
+    *                 PLaNT phase output, else empty blocks); visible for
+    *                 pruning only to their owner, and as cleaning witnesses
+    *                 to everyone via the bitvector scheme. Read, never
+    *                 grown; the caller releases it.
+    * @return the phase's labels, for [[SimCluster.finish]] with `prior`
     */
   private[dist] def runSupersteps(
       spark: SparkSession,
@@ -77,23 +77,22 @@ object DGLL {
       paraPLL: Boolean,
       hc: LabelBuffers,
       startPos: Int,
-      priorOwned: SimCluster.OwnedLabels,
+      prior: SimCluster.OwnedLabels,
       acc: SimCluster.StatsAccum,
-  ): SimCluster.OwnedLabels = {
+  ): LabelBuffers = {
     val sc   = spark.sparkContext
     val n    = bcRank.value.n
     val bcHc = if (hc != null) sc.broadcast(hc) else null
     val exploredAcc = sc.longAccumulator("explored")
 
-    var owned = priorOwned
-    // Global pruning table: labels exchanged so far in THIS phase (Hybrid's
-    // pre-switch PLaNT labels are deliberately not here — they were never
-    // broadcast; each node sees only its own slice of them). Each superstep's
-    // roots rank below all earlier ones, so committing appends to lists
-    // sorted by hub position, as GLL's commit does. It is broadcast as it is:
-    // the driver appends to it only in `commit`, after the superstep's job
-    // has finished and `bcGlobal.destroy()` has run, so no task reads it
-    // while it grows (in local mode tasks share the driver's instance).
+    // The phase's labels, stored once; every node receives them to prune
+    // with. Hybrid's pre-switch PLaNT labels are not here: they were never
+    // broadcast, and each node sees only its own slice of them, in `prior`.
+    // Each superstep's roots rank below all earlier ones, so committing appends
+    // to lists sorted by hub position, as GLL's commit does. It is broadcast
+    // as it is: the driver appends to it only in `commit`, after the
+    // superstep's job and `bcGlobal.destroy()`, so no task reads it while it
+    // grows (in local mode tasks share the driver's instance).
     val global = new LabelBuffers(n, threadSafe = false)
 
     var pos = startPos
@@ -106,7 +105,7 @@ object DGLL {
 
       val bcGlobal = sc.broadcast(global)
       // candidates(i): the labels node i generated, in root order
-      val candidates: Array[NodeLabels] = owned
+      val candidates: Array[NodeLabels] = prior
         .mapPartitionsWithIndex { (pid, it) =>
           val gg = bcGraph.value; val rk = bcRank.value
           val own   = it.next().index(gg.n)
@@ -135,38 +134,36 @@ object DGLL {
       acc.labelsGenerated += generated
       acc.recordExchange(generated, q, cleaned = !paraPLL)
 
-      val survivors: Array[NodeLabels] =
-        if (paraPLL || generated == 0) candidates
+      val redundant =
+        if (paraPLL || generated == 0) null
         else {
-          val bits = cleanCandidates(spark, owned, bcRank, candidates)
+          val bits = cleanCandidates(spark, prior, bcRank, candidates)
           acc.redundantRemoved += bits.count(identity)
-          var off = 0
-          candidates.map { c =>
-            val o = off; off += c.size
-            c.select(i => !bits(o + i))
-          }
+          bits
         }
-
-      commit(global, q, a, b, survivors)
-      owned = SimCluster.appendLabels(owned, sc.parallelize(survivors.toSeq, q))
+      commit(global, q, a, b, candidates, redundant)
     }
     acc.explored += exploredAcc.value
     if (bcHc != null) bcHc.destroy()
-    owned
+    global
   }
 
-  /** Appends the superstep's survivors to the driver's global table in
-    * order of their hub positions: roots `a until b` in turn, each root's
-    * labels being one contiguous run of its owner's block.
+  /** Appends the candidates not marked `redundant` (null: none) to the
+    * global table in order of their hub positions: roots `a until b` in
+    * turn, each root's labels being one contiguous run of its owner's block.
     */
   private def commit(global: LabelBuffers, q: Int, a: Int, b: Int,
-                     survivors: Array[NodeLabels]): Unit = {
+                     candidates: Array[NodeLabels], redundant: Array[Boolean]): Unit = {
+    val base   = candidates.scanLeft(0)(_ + _.size) // block i's first bit
     val cursor = new Array[Int](q)
     var p = a
     while (p < b) {
-      val s = survivors(p % q)
+      val c = candidates(p % q)
       var i = cursor(p % q)
-      while (i < s.size && s.h(i) == p) { global.add(s.v(i), p, s.d(i)); i += 1 }
+      while (i < c.size && c.h(i) == p) {
+        if (redundant == null || !redundant(base(p % q) + i)) global.add(c.v(i), p, c.d(i))
+        i += 1
+      }
       cursor(p % q) = i
       p += 1
     }
@@ -176,23 +173,26 @@ object DGLL {
     * labels; each node marks the candidates it can prove redundant using
     * witness hubs *it owns* (their labels for both endpoints live here);
     * OR-allreduce the bitvectors. Bit `k` is candidate `k` in the order of
-    * `candidates` flattened.
+    * `candidates` flattened. Witnesses lie in `prior` and the candidates
+    * only: were an earlier superstep's hub `w` one for `(v, h, δ)`, `w`
+    * would be in `global(h)` and `global(v)`, and `h`'s tree would not have
+    * emitted `v` at `δ`.
     */
   private def cleanCandidates(
       spark: SparkSession,
-      owned: SimCluster.OwnedLabels,
+      prior: SimCluster.OwnedLabels,
       bcRank: Broadcast[Ranking],
       candidates: Array[NodeLabels],
   ): Array[Boolean] = {
     val sc     = spark.sparkContext
     val bcCand = sc.broadcast(candidates)
     val total  = candidates.map(_.size).sum
-    val bits = owned
+    val bits = prior
       .mapPartitionsWithIndex { (pid, it) =>
         val rk   = bcRank.value
         val cand = bcCand.value
-        // per-vertex lists of the labels whose hub this node owns: its
-        // stored labels, then this superstep's candidates generated here
+        // per-vertex lists of this node's candidate witnesses: its prior
+        // labels, then this superstep's candidates generated here
         val lab = cand(pid).addTo(it.next().index(rk.n))
         val res = new Array[Boolean](total)
         val scratch = new DijkstraScratch(rk.n)

@@ -12,8 +12,8 @@ import repro.graph.{CsrGraph, Ranking}
   * Common Label Table of the η top hubs). After each batch the driver
   * evaluates Ψ = vertices-explored / labels-generated; once Ψ exceeds
   * `psiTh` the run switches to DGLL supersteps (phase 2), which prune with
-  * rank queries + the common table + post-switch exchanged labels and
-  * clean against the full partitioned store.
+  * rank queries + the common table + post-switch exchanged labels, and
+  * clean against the superstep's candidates and the pre-switch PLaNT store.
   *
   * `psiTh = ∞, eta = 0` is pure PLaNT ([[Plant.run]]).
   */
@@ -97,12 +97,12 @@ object Hybrid {
     }
     acc.explored = lastExplored
 
-    if (switchPos >= 0)
-      owned = DGLL.runSupersteps(spark, bcGraph, bcRank, q, DGLL.DefaultBeta,
-        paraPLL = false, hc = hc,
-        startPos = switchPos, priorOwned = owned, acc = acc)
+    val global =
+      if (switchPos < 0) new LabelBuffers(n, threadSafe = false)
+      else DGLL.runSupersteps(spark, bcGraph, bcRank, q, DGLL.DefaultBeta,
+        paraPLL = false, hc = hc, startPos = switchPos, prior = owned, acc = acc)
     bcGraph.destroy(); bcRank.destroy()
-    SimCluster.finish(owned, rank, acc, t0, switchPos = switchPos,
+    SimCluster.finish(owned, global, rank, acc, t0, switchPos = switchPos,
       commonTableLabels = if (hc != null) hc.labelCount else 0)
   }
 }

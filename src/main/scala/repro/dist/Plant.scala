@@ -6,8 +6,6 @@ import repro.graph.{CsrGraph, Ranking}
 
 /** Pure PLaNT: plant every tree, communicate nothing (§5.2). */
 object Plant {
-  def run(spark: SparkSession, g: CsrGraph, rank: Ranking, q: Int,
-          batchSize: Int = 0): (Labeling, DistStats) =
-    Hybrid.run(spark, g, rank, q, psiTh = Double.PositiveInfinity, eta = 0,
-      batchSize = if (batchSize > 0) batchSize else math.max(1, g.n))
+  def run(spark: SparkSession, g: CsrGraph, rank: Ranking, q: Int): (Labeling, DistStats) =
+    Hybrid.run(spark, g, rank, q, psiTh = Double.PositiveInfinity, eta = 0, batchSize = math.max(1, g.n))
 }

@@ -73,13 +73,13 @@ object NodeLabels {
 /** The multi-node cluster substrate (DESIGN.md §3/§4).
   *
   * A cluster of `q` nodes is simulated as `q` Spark RDD partitions:
-  * partition `i` is node `i` and holds one [[NodeLabels]] block, the labels
-  * of the hubs it owns (`owner(h) = h mod q` for the hub at rank position
-  * `h`, the paper's circular task split). New labels are produced already
-  * split by owner and appended partition by partition, so no stored label
-  * ever moves. Broadcasts are `sc.broadcast`, allreduce is `treeReduce`,
-  * and communication volume is metered in bytes by the driver using the
-  * paper's 12-byte-per-label accounting.
+  * partition `i` is node `i` and holds one [[NodeLabels]] block, the
+  * planted labels of the hubs it owns (`owner(h) = h mod q` for the hub at
+  * rank position `h`, the paper's circular task split), appended partition
+  * by partition. A DGLL phase's labels, broadcast to every node, are kept
+  * once, in the driver's table. Broadcasts are `sc.broadcast`, allreduce is
+  * `treeReduce`, and communication volume is metered in bytes by the
+  * driver using the paper's 12-byte-per-label accounting.
   */
 object SimCluster {
 
@@ -91,9 +91,9 @@ object SimCluster {
 
   /** Appends each node's fresh block (partition `i` of `fresh`) to its
     * store. The new store is materialized and local-checkpointed, which cuts
-    * its lineage: appends chain once per batch or superstep, and a lineage
-    * would reach back to tasks whose broadcasts are already destroyed. The
-    * old store is released.
+    * its lineage: appends chain once per batch, and a lineage would reach
+    * back to tasks whose broadcasts are already destroyed. The old store is
+    * released.
     */
   def appendLabels(owned: OwnedLabels, fresh: RDD[NodeLabels]): OwnedLabels = {
     val next = owned.zipPartitions(fresh, preservesPartitioning = true) { (o, f) =>
@@ -105,11 +105,14 @@ object SimCluster {
     next
   }
 
-  /** Collects and releases the store, and assembles the run's labeling and
-    * stats. DparaPLL (`replicate`) keeps every label on every node.
+  /** Collects and releases the store, adds it to `global` (a DGLL phase's
+    * labels) and assembles the run's labeling and stats. Node `i` stores its
+    * block and the labels of `global` whose hub it owns; DparaPLL
+    * (`replicate`) keeps every label on every node.
     */
   def finish(
       owned: OwnedLabels,
+      global: LabelBuffers,
       rank: Ranking,
       acc: StatsAccum,
       t0: Long,
@@ -119,12 +122,10 @@ object SimCluster {
   ): (Labeling, DistStats) = {
     val blocks = owned.collect()
     owned.unpersist(blocking = false)
-    val store    = new LabelBuffers(rank.n, threadSafe = false)
-    blocks.foreach(_.addTo(store))
-    val labeling = store.toLabeling(rank)
-    val perNode =
-      if (replicate) Array.fill(blocks.length)(labeling.labelCount)
-      else blocks.map(_.size.toLong)
+    val perNode = blocks.map(_.size.toLong)
+    global.bufs.foreach(b => (0 until b.size).foreach(i => perNode(b.hubs(i) % blocks.length) += 1))
+    blocks.foreach(_.addTo(global))
+    val labeling = global.toLabeling(rank)
     (labeling, DistStats(
       timeMs = (System.nanoTime() - t0) / 1000000,
       syncs = acc.syncs,
@@ -134,7 +135,7 @@ object SimCluster {
       bytesBroadcast = acc.bytesBroadcast,
       bytesAllReduce = acc.bytesAllReduce,
       explored = acc.explored,
-      perNodeLabels = perNode,
+      perNodeLabels = if (replicate) perNode.map(_ => labeling.labelCount) else perNode,
       switchPos = switchPos,
       commonTableLabels = commonTableLabels))
   }

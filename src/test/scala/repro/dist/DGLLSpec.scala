@@ -56,6 +56,7 @@ class DGLLSpec extends SparkSpec {
     val (l, stats) = DGLL.run(spark, g, r, q)
     assert(stats.perNodeLabels.length == q)
     assert(stats.perNodeLabels.sum == l.labelCount)
+    for (i <- 0 until q) assert(stats.perNodeLabels(i) == l.hubPos.count(_ % q == i), s"node $i")
   }
 
   test("superstepSizes grow geometrically and cover the queue") {

@@ -84,7 +84,9 @@ class HybridSpec extends SparkSpec {
     val r = Ranking.byDegree(g)
     val q = 4
     val (l, stats) = Hybrid.run(spark, g, r, q, psiTh = 1.0, batchSize = 10)
+    assert(stats.switchPos > 0, "the run must switch to DGLL")
     assert(stats.perNodeLabels.sum == l.labelCount)
     assert(stats.perNodeLabels.length == q)
+    for (i <- 0 until q) assert(stats.perNodeLabels(i) == l.hubPos.count(_ % q == i), s"node $i")
   }
 }

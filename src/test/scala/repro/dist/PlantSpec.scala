@@ -110,7 +110,7 @@ class PlantSpec extends SparkSpec {
   test("batched planting matches single-batch planting") {
     val g = GraphGen.preferentialAttachment(70, 3, seed = 45)
     val r = Ranking.byDegree(g)
-    val (a, _) = Plant.run(spark, g, r, q = 3, batchSize = 7)
+    val (a, _) = Hybrid.run(spark, g, r, q = 3, psiTh = Double.PositiveInfinity, eta = 0, batchSize = 7)
     val (b, _) = Plant.run(spark, g, r, q = 3)
     assert(a.tripleSet == b.tripleSet)
   }

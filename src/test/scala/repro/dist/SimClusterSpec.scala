@@ -1,6 +1,7 @@
 package repro.dist
 
 import repro.SparkSpec
+import repro.core.LabelBuffers
 import repro.graph.{GraphGen, Ranking}
 import repro.TestUtil._
 
@@ -31,18 +32,33 @@ class SimClusterSpec extends SparkSpec {
   test("finish reports per-node counts that sum to the total") {
     val sc   = spark.sparkContext
     val q    = 3
-    val rank = identityRanking(9)
-    // node i owns the hubs at positions i, i+3, i+6 (vertices 8 - pos)
+    val rank = identityRanking(12)
+    // node i owns the hubs at positions i, i+3, i+6
     val owned = sc.parallelize((0 until q).map { i =>
       val hubs = i until 9 by q
       new NodeLabels(hubs.flatMap(_ => Seq(1, 2)).toArray, hubs.flatMap(h => Seq(h, h)).toArray,
         hubs.flatMap(_ => Seq(1L, 2L)).toArray)
     }, q)
-    val (l, stats) = SimCluster.finish(owned, rank, new SimCluster.StatsAccum, System.nanoTime())
+    val (l, stats) = SimCluster.finish(owned, new LabelBuffers(rank.n, threadSafe = false), rank,
+      new SimCluster.StatsAccum, System.nanoTime())
     assert(stats.perNodeLabels.toSeq == Seq(6L, 6L, 6L))
     assert(l.labelCount == 18 && stats.labelsFinal == 18)
-    assert(l.hubs(1).toSeq == (8 to 0 by -1), "each vertex's hubs must be rank-descending")
+    assert(l.hubs(1).toSeq == (0 until 9).map(rank.order), "each vertex's hubs must be rank-descending")
     assert(l.query(1, 2) == 3)
+
+    // a DGLL phase's table: hubs ranked below every block's, each label
+    // counted on its hub's owner
+    val global = new LabelBuffers(rank.n, threadSafe = false)
+    for ((v, h) <- Seq((1, 9), (2, 9), (1, 10), (2, 10), (3, 10), (3, 11))) global.add(v, h, 5L)
+    val (lg, sg) = SimCluster.finish(owned, global, rank, new SimCluster.StatsAccum, System.nanoTime())
+    assert(sg.perNodeLabels.toSeq == Seq(8L, 9L, 7L))
+    for (i <- 0 until q) assert(sg.perNodeLabels(i) == lg.hubPos.count(_ % q == i), s"node $i")
+    assert(lg.labelCount == 24 && sg.labelsFinal == 24)
+    for (v <- 0 until rank.n) {
+      val hubs = lg.hubPos.slice(lg.offsets(v), lg.offsets(v + 1))
+      assert(hubs.toSeq == hubs.sorted.distinct.toSeq, s"vertex $v's hubs must ascend: ${hubs.toSeq}")
+    }
+    assert(lg.hubs(1).toSeq == (0 until 11).map(rank.order))
   }
 
   test("runs leave no persisted RDD behind") {
@@ -51,8 +67,8 @@ class SimClusterSpec extends SparkSpec {
     val r  = Ranking.byApproxBetweenness(g)
     def assertNoneLeft(what: String): Unit =
       assert(sc.getPersistentRDDs.isEmpty, s"$what left ${sc.getPersistentRDDs.values.mkString(", ")}")
-    Plant.run(spark, g, r, q = 2, batchSize = 8)
-    assertNoneLeft("Plant.run")
+    Hybrid.run(spark, g, r, q = 2, psiTh = Double.PositiveInfinity, eta = 0, batchSize = 8)
+    assertNoneLeft("a batched PLaNT run")
     val (_, hs) = Hybrid.run(spark, g, r, q = 2, psiTh = 0.0, batchSize = 8)
     assert(hs.switchPos > 0, "the Hybrid run must switch to DGLL")
     assertNoneLeft("a switching Hybrid.run")
