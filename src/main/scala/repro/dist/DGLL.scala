@@ -39,7 +39,7 @@ object DGLL {
     val acc = new SimCluster.StatsAccum
     val bcGraph = sc.broadcast(g)
     val bcRank  = sc.broadcast(rank)
-    val prior   = SimCluster.emptyLabels(sc, q)
+    val prior   = Array.fill(q)(NodeLabels.empty)
     val global  = runSupersteps(spark, bcGraph, bcRank, q, beta, paraPLL,
       hc = null, startPos = 0, prior, acc)
     bcGraph.destroy(); bcRank.destroy()
@@ -62,10 +62,12 @@ object DGLL {
     * @param hc       optional Common Label Table consulted by distance
     *                 queries on every node (§5.3)
     * @param prior    labels stored per node before this phase (Hybrid's
-    *                 PLaNT phase output, else empty blocks); visible for
-    *                 pruning only to their owner, and as cleaning witnesses
-    *                 to everyone via the bitvector scheme. Read, never
-    *                 grown; the caller releases it.
+    *                 PLaNT phase output, else empty blocks), block `i` on
+    *                 node `i`; visible for pruning only to their owner, and
+    *                 as cleaning witnesses to everyone via the bitvector
+    *                 scheme. Read, never grown. Spark broadcasts the array
+    *                 once per phase, but node `i` reads only block `i`, so
+    *                 the broadcast is simulation plumbing and not metered.
     * @return the phase's labels, for [[SimCluster.finish]] with `prior`
     */
   private[dist] def runSupersteps(
@@ -77,17 +79,17 @@ object DGLL {
       paraPLL: Boolean,
       hc: LabelBuffers,
       startPos: Int,
-      prior: SimCluster.OwnedLabels,
+      prior: Array[NodeLabels],
       acc: SimCluster.StatsAccum,
   ): LabelBuffers = {
-    val sc   = spark.sparkContext
-    val n    = bcRank.value.n
-    val bcHc = if (hc != null) sc.broadcast(hc) else null
-    val exploredAcc = sc.longAccumulator("explored")
+    val sc      = spark.sparkContext
+    val n       = bcRank.value.n
+    val bcHc    = if (hc != null) sc.broadcast(hc) else null
+    val bcPrior = sc.broadcast(prior)
 
     // The phase's labels, stored once; every node receives them to prune
     // with. Hybrid's pre-switch PLaNT labels are not here: they were never
-    // broadcast, and each node sees only its own slice of them, in `prior`.
+    // exchanged, and each node sees only its own block of them, `prior(pid)`.
     // Each superstep's roots rank below all earlier ones, so committing appends
     // to lists sorted by hub position, as GLL's commit does. It is broadcast
     // as it is: the driver appends to it only in `commit`, after the
@@ -104,47 +106,36 @@ object DGLL {
       pos = b
 
       val bcGlobal = sc.broadcast(global)
-      // candidates(i): the labels node i generated, in root order
-      val candidates: Array[NodeLabels] = prior
-        .mapPartitionsWithIndex { (pid, it) =>
-          val gg = bcGraph.value; val rk = bcRank.value
-          val own   = it.next().index(gg.n)
-          val local = new LabelBuffers(gg.n, threadSafe = false)
-          val tables =
-            if (bcHc != null) Array(bcGlobal.value, own, local, bcHc.value)
-            else Array(bcGlobal.value, own, local)
-          val scratch = new DijkstraScratch(gg.n)
-          val out     = new NodeLabels.Builder
-          var explored = 0L
-          // this node's slice of the superstep's roots, in rank order
-          var p = a + Math.floorMod(pid - a, q)
-          while (p < b) {
-            val pos = p
-            explored += PrunedDijkstra.buildTree(
-              gg, rk, rk.order(pos), tables, rankQueries = !paraPLL, scratch,
-              sink = (v, d) => { local.add(v, pos, d); out.add(v, pos, d) })
-            p += q
-          }
-          exploredAcc.add(explored)
-          Iterator.single(out.result())
-        }
-        .collect() // ← the superstep's label exchange (metered below)
+      // candidates(i): the labels node i generated, in root order; the
+      // collect is the superstep's label exchange (metered below)
+      val (candidates, explored) = SimCluster.round(sc, q, a, b) { pid =>
+        val gg = bcGraph.value; val rk = bcRank.value
+        val own   = bcPrior.value(pid).index(gg.n)
+        val local = new LabelBuffers(gg.n, threadSafe = false)
+        val tables =
+          if (bcHc != null) Array(bcGlobal.value, own, local, bcHc.value)
+          else Array(bcGlobal.value, own, local)
+        val scratch = new DijkstraScratch(gg.n)
+        (p, sink) => PrunedDijkstra.buildTree(gg, rk, rk.order(p), tables, rankQueries = !paraPLL,
+          scratch, sink = (v, d) => { local.add(v, p, d); sink(v, d) })
+      }
       bcGlobal.destroy()
       val generated = candidates.map(_.size.toLong).sum
       acc.labelsGenerated += generated
+      acc.explored += explored.sum
       acc.recordExchange(generated, q, cleaned = !paraPLL)
 
       val redundant =
         if (paraPLL || generated == 0) null
         else {
-          val bits = cleanCandidates(spark, prior, bcRank, candidates)
+          val bits = cleanCandidates(spark, bcPrior, bcRank, candidates)
           acc.redundantRemoved += bits.count(identity)
           bits
         }
       commit(global, q, a, b, candidates, redundant)
     }
-    acc.explored += exploredAcc.value
     if (bcHc != null) bcHc.destroy()
+    bcPrior.destroy()
     global
   }
 
@@ -180,20 +171,20 @@ object DGLL {
     */
   private def cleanCandidates(
       spark: SparkSession,
-      prior: SimCluster.OwnedLabels,
+      bcPrior: Broadcast[Array[NodeLabels]],
       bcRank: Broadcast[Ranking],
       candidates: Array[NodeLabels],
   ): Array[Boolean] = {
     val sc     = spark.sparkContext
     val bcCand = sc.broadcast(candidates)
     val total  = candidates.map(_.size).sum
-    val bits = prior
-      .mapPartitionsWithIndex { (pid, it) =>
+    val bits = sc.parallelize(candidates.indices, candidates.length)
+      .mapPartitionsWithIndex { (pid, _) =>
         val rk   = bcRank.value
         val cand = bcCand.value
         // per-vertex lists of this node's candidate witnesses: its prior
         // labels, then this superstep's candidates generated here
-        val lab = cand(pid).addTo(it.next().index(rk.n))
+        val lab = cand(pid).addTo(bcPrior.value(pid).index(rk.n))
         val res = new Array[Boolean](total)
         val scratch = new DijkstraScratch(rk.n)
         var k = 0

@@ -1,19 +1,20 @@
 package repro.dist
 
 import org.apache.spark.sql.SparkSession
+import scala.collection.mutable.ArrayBuffer
 import repro.core.{DijkstraScratch, LabelBuffers, Labeling}
 import repro.graph.{CsrGraph, Ranking}
 
 /** PLaNT (§5.2) and the Hybrid PLaNT→DGLL algorithm (§5.2.1).
   *
   * Phase 1 plants trees batch-by-batch over the rank-ordered root queue —
-  * an embarrassingly parallel `mapPartitions` over the circularly split
-  * queue with **no** label traffic (the only broadcast is the optional
-  * Common Label Table of the η top hubs). After each batch the driver
-  * evaluates Ψ = vertices-explored / labels-generated; once Ψ exceeds
+  * one embarrassingly parallel [[SimCluster.round]] per batch over the
+  * circularly split queue with **no** label traffic (the only broadcast is
+  * the optional Common Label Table of the η top hubs). After each batch the
+  * driver evaluates Ψ = vertices-explored / labels-generated; once Ψ exceeds
   * `psiTh` the run switches to DGLL supersteps (phase 2), which prune with
   * rank queries + the common table + post-switch exchanged labels, and
-  * clean against the superstep's candidates and the pre-switch PLaNT store.
+  * clean against the superstep's candidates and the pre-switch PLaNT blocks.
   *
   * `psiTh = ∞, eta = 0` is pure PLaNT ([[Plant.run]]).
   */
@@ -29,65 +30,50 @@ object Hybrid {
       batchSize: Int = 0,
   ): (Labeling, DistStats) = {
     require(q >= 1, s"node count q must be at least 1, got $q")
+    require(!psiTh.isNaN, "switching threshold psiTh must be a number, got NaN")
+    require(eta >= 0, s"common table size eta must not be negative, got $eta")
+    require(batchSize >= 0, s"batch size must not be negative (0: default), got $batchSize")
     val sc  = spark.sparkContext
     val n   = g.n
     val t0  = System.nanoTime()
     val acc = new SimCluster.StatsAccum
-    // batch granularity trades Ψ-sampling resolution against per-batch job
-    // overhead; n/16 keeps the switch decision responsive at our scales
+    // batch granularity is Ψ-sampling resolution: n/16 keeps the switch
+    // decision responsive at our scales
     val batch  = if (batchSize > 0) batchSize else math.max(4 * q, n / 16)
     val etaEff = math.min(eta, n)
 
     val bcGraph = sc.broadcast(g)
     val bcRank  = sc.broadcast(rank)
-    val exploredAcc = sc.longAccumulator("plantExplored")
 
-    var owned: SimCluster.OwnedLabels = SimCluster.emptyLabels(sc, q)
+    // each batch's blocks, node i's at index i
+    val batches = ArrayBuffer.empty[Array[NodeLabels]]
     // Common Label Table: the labels of the top-η hubs planted so far. It
     // only ever holds hubs of finished batches, which all outrank every
     // later root, so a later tree may prune with it (§5.3).
     val hc = if (etaEff > 0) new LabelBuffers(n, threadSafe = false) else null
     var pos       = 0
     var switchPos = -1
-    var lastExplored = 0L
 
     while (pos < n && switchPos < 0) {
       val a = pos
       val b = math.min(n, a + batch)
       pos = b
       val bcHc = if (hc != null) sc.broadcast(hc) else null
-      // node `pid` plants the batch's roots it owns: positions p ≡ pid (mod q)
-      val fresh = sc.parallelize(0 until q, q).mapPartitionsWithIndex { (pid, _) =>
+      val (fresh, explored) = SimCluster.round(sc, q, a, b) { _ =>
         val gg = bcGraph.value; val rk = bcRank.value
         val hct = if (bcHc != null) bcHc.value else null
         val scratch = new DijkstraScratch(gg.n)
-        val out = new NodeLabels.Builder
-        var explored = 0L
-        var p = a + Math.floorMod(pid - a, q)
-        while (p < b) {
-          val pos = p
-          explored += PlantTree.build(gg, rk, rk.order(pos), hct, scratch, sink = (v, d) => out.add(v, pos, d))
-          p += q
-        }
-        exploredAcc.add(explored)
-        Iterator.single(out.result())
+        (p, sink) => PlantTree.build(gg, rk, rk.order(p), hct, scratch, sink)
       }
-      fresh.persist()
-      // per node: labels planted, and those of top-η hubs for the common table
-      val planted = fresh.map(nl => (nl.size.toLong, nl.select(nl.h(_) < etaEff))).collect()
-      val labelsThisBatch = planted.map(_._1).sum
-      acc.labelsGenerated += labelsThisBatch
-      val exploredThisBatch = exploredAcc.value - lastExplored
-      lastExplored = exploredAcc.value
-
-      owned = SimCluster.appendLabels(owned, fresh)
-      fresh.unpersist(blocking = false)
       if (bcHc != null) bcHc.destroy()
-      // Grow the table only now that the new store is materialized: a
-      // recomputed task of this batch would otherwise see its own roots'
-      // rows, and a root in the table prunes every vertex of its tree.
-      val hcNew = NodeLabels.concat(planted.map(_._2).toSeq)
-      if (hcNew.size > 0) {
+      batches += fresh
+      val labelsThisBatch   = fresh.map(_.size.toLong).sum
+      val exploredThisBatch = explored.sum
+      acc.labelsGenerated += labelsThisBatch
+      acc.explored += exploredThisBatch
+
+      if (hc != null) {
+        val hcNew = NodeLabels.concat(fresh.map(nl => nl.select(nl.h(_) < etaEff)).toSeq)
         hcNew.addTo(hc)
         acc.recordCommonTableBroadcast(hcNew.size.toLong, q)
       }
@@ -95,14 +81,14 @@ object Hybrid {
       val psi = exploredThisBatch.toDouble / math.max(1L, labelsThisBatch)
       if (psi > psiTh && pos < n) switchPos = pos
     }
-    acc.explored = lastExplored
+    val blocks = Array.tabulate(q)(i => NodeLabels.concat(batches.map(_(i)).toSeq))
 
     val global =
       if (switchPos < 0) new LabelBuffers(n, threadSafe = false)
       else DGLL.runSupersteps(spark, bcGraph, bcRank, q, DGLL.DefaultBeta,
-        paraPLL = false, hc = hc, startPos = switchPos, prior = owned, acc = acc)
+        paraPLL = false, hc = hc, startPos = switchPos, prior = blocks, acc = acc)
     bcGraph.destroy(); bcRank.destroy()
-    SimCluster.finish(owned, global, rank, acc, t0, switchPos = switchPos,
+    SimCluster.finish(blocks, global, rank, acc, t0, switchPos = switchPos,
       commonTableLabels = if (hc != null) hc.labelCount else 0)
   }
 }

@@ -1,25 +1,20 @@
 package repro.dist
 
 import org.apache.spark.SparkContext
-import org.apache.spark.rdd.RDD
 import repro.core.{LabelBuffers, Labeling}
 import repro.graph.Ranking
 
 /** The labels one simulated node stores, as parallel columns: label `i` says
   * vertex `v(i)` is at distance `d(i)` from the hub at rank position `h(i)`.
   *
-  * A node stores exactly the labels of the hubs it owns, and every append
-  * adds the labels of roots further down the rank order than any already
-  * stored; so in column order each vertex's hub positions ascend. A
-  * block a superstep or batch produces holds one contiguous run of labels
-  * per root, in root order, which DGLL's commit and cleaning rely on.
+  * A node stores exactly the labels of the hubs it owns. A block a
+  * superstep or batch produces holds one contiguous run of labels per root,
+  * in root order, which DGLL's commit and cleaning rely on; a node's
+  * batches are concatenated in batch order, so in column order each
+  * vertex's hub positions ascend.
   */
 final class NodeLabels(val v: Array[Int], val h: Array[Int], val d: Array[Long]) extends Serializable {
   def size: Int = v.length
-
-  /** This block followed by `more`. */
-  def ++(more: NodeLabels): NodeLabels =
-    new NodeLabels(Array.concat(v, more.v), Array.concat(h, more.h), Array.concat(d, more.d))
 
   /** The labels `i` for which `keep(i)` holds, in column order. */
   def select(keep: Int => Boolean): NodeLabels = {
@@ -72,46 +67,48 @@ object NodeLabels {
 
 /** The multi-node cluster substrate (DESIGN.md §3/§4).
   *
-  * A cluster of `q` nodes is simulated as `q` Spark RDD partitions:
-  * partition `i` is node `i` and holds one [[NodeLabels]] block, the
-  * planted labels of the hubs it owns (`owner(h) = h mod q` for the hub at
-  * rank position `h`, the paper's circular task split), appended partition
-  * by partition. A DGLL phase's labels, broadcast to every node, are kept
-  * once, in the driver's table. Broadcasts are `sc.broadcast`, allreduce is
-  * `treeReduce`, and communication volume is metered in bytes by the
-  * driver using the paper's 12-byte-per-label accounting.
+  * A cluster of `q` nodes is simulated by Spark jobs of `q` tasks: task `i`
+  * is node `i`. Every job has one shape, [[round]]: node `i` builds the
+  * trees of the roots it owns (`owner(h) = h mod q` for the hub at rank
+  * position `h`, the paper's circular task split) and returns its block to
+  * the driver. The driver keeps node `i`'s planted labels as block `i` of an
+  * array; a DGLL phase's labels, broadcast to every node, are kept once, in
+  * the driver's table. Broadcasts are `sc.broadcast`, allreduce is
+  * `treeReduce`, and communication volume is metered in bytes by the driver
+  * using the paper's 12-byte-per-label accounting.
   */
 object SimCluster {
 
-  /** Partition `i` holds node `i`'s single block. */
-  type OwnedLabels = RDD[NodeLabels]
-
-  def emptyLabels(sc: SparkContext, q: Int): OwnedLabels =
-    sc.parallelize(Seq.fill(q)(NodeLabels.empty), q)
-
-  /** Appends each node's fresh block (partition `i` of `fresh`) to its
-    * store. The new store is materialized and local-checkpointed, which cuts
-    * its lineage: appends chain once per batch, and a lineage would reach
-    * back to tasks whose broadcasts are already destroyed. The old store is
-    * released.
+  /** One job over the nodes. Task `pid` calls `node(pid)` once, then the
+    * function it returns on each root position `p ≡ pid (mod q)` in
+    * `[a, b)`, ascending, with a sink for the tree's labels `(v, d)`; that
+    * function returns the vertices its tree explored. Returns each node's
+    * labels, one contiguous run per root in root order, and each node's
+    * explored count, both in node order. The collect is simulation
+    * plumbing: the modelled traffic is metered by the callers.
     */
-  def appendLabels(owned: OwnedLabels, fresh: RDD[NodeLabels]): OwnedLabels = {
-    val next = owned.zipPartitions(fresh, preservesPartitioning = true) { (o, f) =>
-      Iterator.single(o.next() ++ f.next())
-    }
-    next.localCheckpoint()
-    next.count()
-    owned.unpersist(blocking = false)
-    next
-  }
+  def round(sc: SparkContext, q: Int, a: Int, b: Int)(
+      node: Int => (Int, (Int, Long) => Unit) => Long): (Array[NodeLabels], Array[Long]) =
+    sc.parallelize(0 until q, q).mapPartitionsWithIndex { (pid, _) =>
+      val tree = node(pid)
+      val out  = new NodeLabels.Builder
+      var explored = 0L
+      var p = a + Math.floorMod(pid - a, q)
+      while (p < b) {
+        val pos = p
+        explored += tree(pos, (v, d) => out.add(v, pos, d))
+        p += q
+      }
+      Iterator.single((out.result(), explored))
+    }.collect().unzip
 
-  /** Collects and releases the store, adds it to `global` (a DGLL phase's
-    * labels) and assembles the run's labeling and stats. Node `i` stores its
-    * block and the labels of `global` whose hub it owns; DparaPLL
+  /** Adds the planted `blocks` (block `i` is node `i`'s) to `global` (a DGLL
+    * phase's labels) and assembles the run's labeling and stats. Node `i`
+    * stores its block and the labels of `global` whose hub it owns; DparaPLL
     * (`replicate`) keeps every label on every node.
     */
   def finish(
-      owned: OwnedLabels,
+      blocks: Array[NodeLabels],
       global: LabelBuffers,
       rank: Ranking,
       acc: StatsAccum,
@@ -120,8 +117,6 @@ object SimCluster {
       switchPos: Int = -1,
       commonTableLabels: Long = 0,
   ): (Labeling, DistStats) = {
-    val blocks = owned.collect()
-    owned.unpersist(blocking = false)
     val perNode = blocks.map(_.size.toLong)
     global.bufs.foreach(b => (0 until b.size).foreach(i => perNode(b.hubs(i) % blocks.length) += 1))
     blocks.foreach(_.addTo(global))

@@ -38,6 +38,35 @@ class CoreDifferentialSpec extends AnyFunSuite {
       }
     }
 
+  // Random cases: a 100–300-vertex graph and ranking, α (log-uniform in
+  // [0.05, 8]) and the thread count are drawn from the case's seed, which
+  // the test name records.
+  for (seed <- 1 to 16) {
+    val rnd = new scala.util.Random(seed)
+    val n   = 100 + rnd.nextInt(201)
+    val g   = rnd.nextInt(4) match {
+      case 0 => GraphGen.randomSparse(n, 2 * n, maxW = 9, seed)
+      case 1 => GraphGen.randomConnected(n, extra = n / 2, maxW = 7, seed)
+      case 2 => GraphGen.grid(10, n / 10, seed)
+      case _ => GraphGen.preferentialAttachment(n, 2 + rnd.nextInt(3), seed)
+    }
+    val alpha   = math.exp(math.log(0.05) + rnd.nextDouble() * math.log(8 / 0.05))
+    val threads = 1 + rnd.nextInt(8)
+    val rankBy  = rnd.nextInt(3)
+    test(f"GLL and LCC equal SeqPLL on drawn case $seed: n=${g.n}, alpha=$alpha%.3f, threads=$threads") {
+      val rank = rankBy match {
+        case 0 => Ranking.byDegree(g)
+        case 1 => Ranking.byApproxBetweenness(g, samples = 8, seed = seed)
+        case _ => TestUtil.randomRanking(g.n, seed)
+      }
+      val chl = SeqPLL.run(g, rank).labeling
+      for ((what, r) <- Seq("GLL" -> GLL.run(g, rank, threads, alpha), "LCC" -> GLL.runLCC(g, rank, threads))) {
+        TestUtil.assertSameLabels(chl, r.labeling, what)
+        assert(r.labelsGenerated == r.labeling.labelCount + r.redundantRemoved, what)
+      }
+    }
+  }
+
   test("one reused DijkstraScratch builds the same trees as a fresh one per root") {
     val g       = GraphGen.preferentialAttachment(800, 3, seed = 5)
     val rank    = Ranking.byDegree(g)

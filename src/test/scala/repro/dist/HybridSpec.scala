@@ -79,6 +79,18 @@ class HybridSpec extends SparkSpec {
     }
   }
 
+  test("Hybrid rejects a negative batch size or eta and a NaN psiTh") {
+    val g = GraphGen.grid(4, 4)
+    val r = Ranking.byDegree(g)
+    def rejected(msg: String)(call: => Any): Unit = {
+      val e = intercept[IllegalArgumentException](call)
+      assert(e.getMessage.contains(msg), e.getMessage)
+    }
+    rejected("batch size must not be negative")(Hybrid.run(spark, g, r, q = 2, batchSize = -1))
+    rejected("eta must not be negative")(Hybrid.run(spark, g, r, q = 2, eta = -1))
+    rejected("psiTh must be a number")(Hybrid.run(spark, g, r, q = 2, psiTh = Double.NaN))
+  }
+
   test("Hybrid label storage stays partitioned across the switch") {
     val g = GraphGen.preferentialAttachment(90, 3, seed = 67)
     val r = Ranking.byDegree(g)

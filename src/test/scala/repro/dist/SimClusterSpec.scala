@@ -7,39 +7,37 @@ import repro.TestUtil._
 
 class SimClusterSpec extends SparkSpec {
 
-  test("emptyLabels has q empty partitions") {
-    val rdd = SimCluster.emptyLabels(spark.sparkContext, 4)
-    assert(rdd.getNumPartitions == 4)
-    assert(rdd.collect().map(_.size).toSeq == Seq(0, 0, 0, 0))
-  }
-
-  test("appendLabels appends each node's block to that node's store") {
-    val sc = spark.sparkContext
-    val q  = 3
-    def blocks(base: Int) = (0 until q).map(i =>
-      new NodeLabels(Array(base + i), Array(i), Array((base + i).toLong)))
-    val once  = SimCluster.appendLabels(SimCluster.emptyLabels(sc, q), sc.parallelize(blocks(0), q))
-    val twice = SimCluster.appendLabels(once, sc.parallelize(blocks(10), q))
-    val stored = twice.collect()
-    assert(stored.length == q)
-    stored.zipWithIndex.foreach { case (nl, i) =>
-      assert(nl.v.toSeq == Seq(i, 10 + i) && nl.h.toSeq == Seq(i, i) && nl.d.toSeq == Seq(i.toLong, 10L + i))
+  test("round gives node i the roots p = i (mod q) in [a, b), ascending") {
+    val q = 4
+    // [5, 19) starts off a multiple of q; [7, 9) holds fewer roots than
+    // nodes, so nodes 1 and 2 get none; [3, 3) holds no root
+    for ((a, b) <- Seq((0, 12), (5, 19), (7, 9), (3, 3))) {
+      // each tree emits one label (vertex = its node, distance = its root)
+      // and explores 10 vertices
+      val (blocks, explored) = SimCluster.round(spark.sparkContext, q, a, b) { pid =>
+        (p, sink) => { sink(pid, p.toLong); 10L }
+      }
+      assert(blocks.length == q && explored.length == q)
+      for (i <- 0 until q) {
+        val nl    = blocks(i)
+        val roots = (a until b).filter(_ % q == i)
+        assert(nl.h.toSeq == roots && nl.d.toSeq == roots.map(_.toLong), s"[$a, $b) node $i")
+        assert(nl.v.forall(_ == i), s"[$a, $b) node $i ran on another task")
+        assert(explored(i) == 10L * roots.size, s"[$a, $b) node $i")
+      }
     }
-    assert(!twice.dependencies.exists(_.rdd eq once), "the stored block must not depend on the old store")
-    twice.unpersist()
   }
 
   test("finish reports per-node counts that sum to the total") {
-    val sc   = spark.sparkContext
     val q    = 3
     val rank = identityRanking(12)
     // node i owns the hubs at positions i, i+3, i+6
-    val owned = sc.parallelize((0 until q).map { i =>
+    val blocks = Array.tabulate(q) { i =>
       val hubs = i until 9 by q
       new NodeLabels(hubs.flatMap(_ => Seq(1, 2)).toArray, hubs.flatMap(h => Seq(h, h)).toArray,
         hubs.flatMap(_ => Seq(1L, 2L)).toArray)
-    }, q)
-    val (l, stats) = SimCluster.finish(owned, new LabelBuffers(rank.n, threadSafe = false), rank,
+    }
+    val (l, stats) = SimCluster.finish(blocks, new LabelBuffers(rank.n, threadSafe = false), rank,
       new SimCluster.StatsAccum, System.nanoTime())
     assert(stats.perNodeLabels.toSeq == Seq(6L, 6L, 6L))
     assert(l.labelCount == 18 && stats.labelsFinal == 18)
@@ -50,7 +48,7 @@ class SimClusterSpec extends SparkSpec {
     // counted on its hub's owner
     val global = new LabelBuffers(rank.n, threadSafe = false)
     for ((v, h) <- Seq((1, 9), (2, 9), (1, 10), (2, 10), (3, 10), (3, 11))) global.add(v, h, 5L)
-    val (lg, sg) = SimCluster.finish(owned, global, rank, new SimCluster.StatsAccum, System.nanoTime())
+    val (lg, sg) = SimCluster.finish(blocks, global, rank, new SimCluster.StatsAccum, System.nanoTime())
     assert(sg.perNodeLabels.toSeq == Seq(8L, 9L, 7L))
     for (i <- 0 until q) assert(sg.perNodeLabels(i) == lg.hubPos.count(_ % q == i), s"node $i")
     assert(lg.labelCount == 24 && sg.labelsFinal == 24)
