@@ -42,29 +42,60 @@ final class Labeling private[core] (
   /** `v`'s distances, parallel to [[hubs]]. */
   def dists(v: Int): Array[Long] = Array.tabulate(offsets(v + 1) - offsets(v))(i => hubDist(offsets(v) + i))
 
-  /** PPSD query: minimum `d(u,h)+d(h,v)` over common hubs, `Inf` if none. */
-  def query(u: Int, v: Int): Long = query(u, v, 1, 0)
-
-  /** Minimum over the common hubs `p` with `p mod q == node`: the partial
-    * answer of QFDL's node `node`, whose hubs under the circular task split
-    * are exactly those. A sorted merge over the two ascending hub runs.
+  /** PPSD query: minimum `d(u,h)+d(h,v)` over common hubs, `Inf` if none.
+    * A sorted merge over the two ascending hub runs: each run skips ahead
+    * to the other's current hub, and a hub both reach is a common hub.
     */
-  def query(u: Int, v: Int, q: Int, node: Int): Long = {
+  def query(u: Int, v: Int): Long = {
     var i = offsets(u); val iEnd = offsets(u + 1)
     var j = offsets(v); val jEnd = offsets(v + 1)
     var best = Dijkstra.Inf
-    while (i < iEnd && j < jEnd) {
-      val a = hubPos(i); val b = hubPos(j)
+    if (i == iEnd || j == jEnd) return best
+    var a = hubPos(i); var b = hubPos(j)
+    while (true) {
+      while (a < b) { i += 1; if (i == iEnd) return best; a = hubPos(i) }
+      while (b < a) { j += 1; if (j == jEnd) return best; b = hubPos(j) }
       if (a == b) {
-        if (q == 1 || a % q == node) {
-          val s = hubDist(i) + hubDist(j)
-          if (s < best) best = s
-        }
+        best = math.min(best, hubDist(i) + hubDist(j))
         i += 1; j += 1
-      } else if (a < b) i += 1
-      else j += 1
+        if (i == iEnd || j == jEnd) return best
+        a = hubPos(i); b = hubPos(j)
+      }
     }
     best
+  }
+
+  /** The owner split of a `q`-node cluster: slice `i` holds exactly the
+    * labels whose hub position `p` has `p mod q == i` (the circular split
+    * QFDL's node `i` and DGLL's node `i` own), as a labeling of the same
+    * shape. Since a common hub lies in one slice, the minimum over the
+    * slices of `slice.query(u, v)` is `query(u, v)`.
+    */
+  def ownerSlices(q: Int): Array[Labeling] = {
+    require(q >= 1, s"node count q must be at least 1, got $q")
+    // slice s's per-vertex counts, shifted by one, then prefix-summed
+    val offs = Array.fill(q)(new Array[Int](n + 1))
+    var v = 0
+    while (v < n) {
+      var k = offsets(v)
+      while (k < offsets(v + 1)) { offs(hubPos(k) % q)(v + 1) += 1; k += 1 }
+      v += 1
+    }
+    for (o <- offs; w <- 0 until n) o(w + 1) += o(w)
+    val hubs  = offs.map(o => new Array[Int](o(n)))
+    val pages = offs.map(o => Labeling.distPages(o(n)))
+    // labels are read in vertex order, hubs ascending: each slice fills in
+    // the same order
+    val next = new Array[Int](q)
+    var k = 0
+    while (k < hubPos.length) {
+      val s = hubPos(k) % q; val j = next(s)
+      hubs(s)(j) = hubPos(k)
+      pages(s)(j >>> Labeling.PageBits)(j & Labeling.PageMask) = hubDist(k)
+      next(s) = j + 1
+      k += 1
+    }
+    Array.tabulate(q)(s => new Labeling(rank, offs(s), hubs(s), pages(s)))
   }
 
   /** Bytes of label storage under the paper's accounting (4 B hub + 8 B

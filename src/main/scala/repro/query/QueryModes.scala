@@ -70,41 +70,33 @@ object QueryModes {
   }
 
   // ---------------------------------------------------------------- QFDL
-  /** `rank` is the ranking `labeling` was built under. The labeling's hubs
-    * are already rank positions, which give each hub's owner directly.
+  /** `rank` is the ranking `labeling` was built under; the labeling's hub
+    * positions already give each hub's owner, so it is not read.
     */
   def qfdl(spark: SparkSession, labeling: Labeling, rank: Ranking, q: Int,
            us: Array[Int], vs: Array[Int]): ModeMetrics = {
     require(q >= 1, s"node count q must be at least 1, got $q")
-    val sc  = spark.sparkContext
-    val bcL = sc.broadcast(labeling)
+    val sc = spark.sparkContext
     val t0 = System.nanoTime()
-    // every node scans the whole batch over its 1/q slice of each label
-    // set (hubs it owns), then partial results are MIN-reduced
-    val res = sc.parallelize(0 until q, q)
-      .map { node =>
-        val l = bcL.value
-        Array.tabulate(us.length)(i => l.query(us(i), vs(i), q, node))
-      }
-      .treeReduce { (x, y) =>
-        val out = new Array[Long](x.length)
+    // node i receives only its owner slice, as its partition's data, and
+    // answers the whole batch over it; the partial minima are MIN-reduced
+    // on the driver (the paper's MPI_MIN allreduce)
+    val slices = labeling.ownerSlices(q)
+    val res = sc.parallelize(slices.toSeq, q)
+      .map(l => Array.tabulate(us.length)(i => l.query(us(i), vs(i))))
+      .reduce { (x, y) =>
         var i = 0
-        while (i < x.length) { out(i) = math.min(x(i), y(i)); i += 1 }
-        out
+        while (i < x.length) { x(i) = math.min(x(i), y(i)); i += 1 }
+        x
       }
     val elapsed = (System.nanoTime() - t0) / 1e9
-    val perQueryMicros = measureMergeMicros(labeling, us, vs)
-    // per-node label bytes by hub owner
-    val perNodeBytes = new Array[Long](q)
-    var k = 0
-    while (k < labeling.hubPos.length) { perNodeBytes(labeling.hubPos(k) % q) += Labeling.BytesPerLabel; k += 1 }
-    bcL.destroy()
+    val largest = slices.maxBy(_.storageBytes)
     ModeMetrics("QFDL", res,
       throughputQps = us.length / elapsed,
-      // each node does ~1/q of the merge work, plus a broadcast+reduce round
-      latencyMicros = perQueryMicros / q + BroadcastRtMicros,
-      memBytesTotal = labeling.storageBytes,
-      memBytesMaxNode = perNodeBytes.max)
+      // the largest slice's merge, plus a broadcast+reduce round
+      latencyMicros = measureMergeMicros(largest, us, vs) + BroadcastRtMicros,
+      memBytesTotal = slices.map(_.storageBytes).sum,
+      memBytesMaxNode = largest.storageBytes)
   }
 
   // ---------------------------------------------------------------- QDOL
@@ -113,6 +105,7 @@ object QueryModes {
     require(q >= 1, s"node count q must be at least 1, got $q")
     val sc = spark.sparkContext
     val z  = zeta(q)
+    val nodes = z * (z - 1) / 2
     // node for an unordered part pair (p1 <= p2); same-part queries are
     // served by the node holding (p, (p+1) mod z)
     def pairNode(pu: Int, pv: Int): Int = {
@@ -123,17 +116,26 @@ object QueryModes {
     }
     val bcL = sc.broadcast(labeling)
     val t0 = System.nanoTime()
-    // queries are routed (sorted per node — the paper's footnote 9 — here:
-    // groupBy node), each node answers its own with full label sets
-    val byNode = us.indices.groupBy(i => pairNode(us(i) % z, vs(i) % z))
-    val res = new Array[Long](us.length)
-    sc.parallelize(byNode.toSeq, math.max(1, math.min(q, byNode.size)))
-      .map { case (node, idxs) =>
+    // queries are routed by a counting sort on their node (the paper's
+    // footnote 9): node k's pairs are perm(start(k) until start(k + 1))
+    val node  = Array.tabulate(us.length)(i => pairNode(us(i) % z, vs(i) % z))
+    val start = new Array[Int](nodes + 1)
+    node.foreach(k => start(k + 1) += 1)
+    for (k <- 0 until nodes) start(k + 1) += start(k)
+    val perm = new Array[Int](us.length)
+    val next = start.clone()
+    for (i <- us.indices) { perm(next(node(i))) = i; next(node(i)) += 1 }
+    // one task per node with queries, each answering its own with full
+    // label sets
+    val busy = (0 until nodes).filter(k => start(k) < start(k + 1))
+    val answers = sc.parallelize(busy, math.max(1, busy.length))
+      .map { k =>
         val l = bcL.value
-        (idxs, idxs.map(i => l.query(us(i), vs(i))).toArray)
+        Array.tabulate(start(k + 1) - start(k)) { j => val i = perm(start(k) + j); l.query(us(i), vs(i)) }
       }
       .collect()
-      .foreach { case (idxs, ds) => idxs.indices.foreach(k => res(idxs(k)) = ds(k)) }
+    val res = new Array[Long](us.length)
+    for ((k, ds) <- busy.zip(answers); j <- ds.indices) res(perm(start(k) + j)) = ds(j)
     val elapsed = (System.nanoTime() - t0) / 1e9
     val perQueryMicros = measureMergeMicros(labeling, us, vs)
     // per-node storage: full label sets of the node's two vertex parts
@@ -151,8 +153,8 @@ object QueryModes {
       memBytesMaxNode = perNodeBytes.max)
   }
 
-  /** Measured single-thread full-merge time per query (µs), averaged over
-    * a bounded probe prefix — the compute component of latency.
+  /** Measured single-thread merge time per query over `l` (µs), averaged
+    * over a bounded probe prefix — the compute component of latency.
     */
   private def measureMergeMicros(l: Labeling, us: Array[Int], vs: Array[Int]): Double = {
     val probes = math.min(2000, us.length)

@@ -68,6 +68,69 @@ class LabelingSpec extends AnyFunSuite {
     assert(l.query(218, 219) == 1000L * 218 + 1000L * 219)
   }
 
+  /** Checks [[Labeling.ownerSlices]]`(q)` of `l` label by label: slice `i`
+    * holds, per vertex, exactly `l`'s labels with `hubPos % q == i`, hubs
+    * ascending and each with its distance; the counts sum to `labelCount`;
+    * the minimum of the slices' answers is `l.query` on every pair.
+    * Returns the slices.
+    */
+  private def checkSlices(l: Labeling, q: Int, what: String): Array[Labeling] = {
+    val slices = l.ownerSlices(q)
+    assert(slices.length == q, what)
+    assert(slices.map(_.labelCount).sum == l.labelCount, what)
+    for (i <- 0 until q; v <- 0 until l.n) {
+      val s = slices(i)
+      val got = (s.offsets(v) until s.offsets(v + 1)).map(k => (s.hubPos(k), s.hubDist(k)))
+      val want = (l.offsets(v) until l.offsets(v + 1)).filter(k => l.hubPos(k) % q == i)
+        .map(k => (l.hubPos(k), l.hubDist(k)))
+      assert(got == want, s"$what: slice $i, vertex $v")
+      assert(got.map(_._1).sliding(2).forall(h => h.length < 2 || h(0) < h(1)), s"$what: slice $i, vertex $v")
+    }
+    for (u <- 0 until l.n; v <- 0 until l.n)
+      assert(slices.map(_.query(u, v)).min == l.query(u, v), s"$what: query($u, $v)")
+    slices
+  }
+
+  test("ownerSlices splits SeqPLL labelings by hub owner, for q in {1, 2, 3, 16} and q above the hub count") {
+    var unreachable = 0
+    for (seed <- 1 to 8) {
+      val (g, family) = graphFor(seed)
+      val l = SeqPLL.run(g, rankingFor(g, seed)).labeling
+      for (q <- Seq(1, 2, 3, 16)) checkSlices(l, q, s"$family seed $seed, q=$q")
+      val big = l.hubPos.max + 2
+      assert(checkSlices(l, big, s"$family seed $seed, q=$big").exists(_.labelCount == 0))
+      unreachable += (for (u <- 0 until l.n; v <- 0 until l.n if l.query(u, v) == Dijkstra.Inf) yield 1).size
+    }
+    assert(unreachable > 0, "the fixtures should include unreachable pairs")
+  }
+
+  test("ownerSlices(1) is the labeling, array for array") {
+    val (g, _) = graphFor(6)
+    val l = SeqPLL.run(g, rankingFor(g, 6)).labeling
+    val s = l.ownerSlices(1).head
+    assert(s.offsets.sameElements(l.offsets))
+    assert(s.hubPos.sameElements(l.hubPos))
+    assert((0 until l.labelCount.toInt).forall(k => s.hubDist(k) == l.hubDist(k)))
+  }
+
+  test("ownerSlices keeps each distance with its hub across distance pages") {
+    // 300 vertices × 150 labels fill two distance pages; slice 0 of q=2
+    // still has 22,500 labels, and q=1 keeps the page boundary in place
+    val r = identityRanking(300)
+    val store = new LabelBuffers(300, threadSafe = false)
+    for (v <- 0 until 300; p <- 0 until 150) store.add(v, p, 1000L * v + p)
+    val l = store.toLabeling(r)
+    for (q <- Seq(1, 2, 3)) {
+      val slices = l.ownerSlices(q)
+      for (i <- 0 until q; v <- 0 until 300)
+        assert(slices(i).dists(v).toSeq == (i until 150 by q).map(1000L * v + _), s"q=$q, slice $i, vertex $v")
+    }
+  }
+
+  test("ownerSlices rejects a node count q below 1") {
+    intercept[IllegalArgumentException](mk((0, 3, 5)).ownerSlices(0))
+  }
+
   test("query is symmetric") {
     val l = mk((0, 3, 5), (1, 3, 7), (0, 2, 2), (1, 2, 4))
     assert(l.query(0, 1) == l.query(1, 0))

@@ -96,4 +96,26 @@ class QueryModesSpec extends SparkSpec {
     assert(a.sameElements(b) && a.sameElements(c))
     assert(a.contains(Dijkstra.Inf), "fixture should include unreachable pairs")
   }
+
+  for (q <- Seq(1, 2, 3, 7, 64))
+    test(s"every mode equals Labeling.query at q=$q, on a fixture and on a disconnected graph") {
+      val (_, r1, l1) = fixture(1)
+      val g2 = GraphGen.randomSparse(30, 18, 5, seed = 11)
+      val r2 = randomRanking(g2.n, 11)
+      for ((r, l) <- Seq((r1, l1), (r2, GLL.run(g2, r2, 4).labeling))) {
+        val (us, vs) = QueryModes.genQueries(l.n, 200, q)
+        val expect = us.indices.map(i => l.query(us(i), vs(i)))
+        assert(QueryModes.qlsn(spark, l, q, us, vs).distances.toSeq == expect, "QLSN")
+        assert(QueryModes.qfdl(spark, l, r, q, us, vs).distances.toSeq == expect, "QFDL")
+        assert(QueryModes.qdol(spark, l, q, us, vs).distances.toSeq == expect, "QDOL")
+      }
+    }
+
+  test("QFDL's largest node holds the largest owner slice, less than all labels, at q=16") {
+    val (_, r, l) = fixture(3)
+    val (us, vs)  = QueryModes.genQueries(l.n, 50, 3)
+    val qfdl = QueryModes.qfdl(spark, l, r, 16, us, vs)
+    assert(qfdl.memBytesMaxNode == l.ownerSlices(16).map(_.storageBytes).max)
+    assert(qfdl.memBytesMaxNode < l.storageBytes)
+  }
 }
