@@ -1,6 +1,5 @@
 package repro.bench
 
-import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.harness.Table4
 import repro.query.QueryModes

@@ -14,17 +14,18 @@ import repro.graph.{CsrGraph, Ranking}
   * are cleaned (Alg. 2's `DQ_Clean`, local candidates only) and committed
   * to the global table.
   *
-  * Because roots are claimed in rank order, every hub of superstep `s`
-  * ranks strictly below every hub of superstep `s-1`; committing is
-  * therefore a cheap *append*, tree by tree in root order, to the
-  * per-vertex global lists, sorted by hub position, done in parallel with
-  * one thread per vertex range. Cleaning is grouped by tree and needs the local table
-  * only: each root's `local(h)` is snapshotted once into a dense array and
-  * every label `(v, δ)` of its tree scans `local(v)`
-  * ([[Cleaning.isRedundant]]). Construction already tested every label
-  * against the global table, so a superstep's cleaning cost follows the
-  * size of its own local table, not of the growing global one — which is
-  * what makes GLL's interleaved cleaning cheaper than LCC's one-shot
+  * Each thread records its trees in its own [[NodeLabels]] block. Because
+  * roots are claimed in rank order, every hub of superstep `s` ranks
+  * strictly below every hub of superstep `s-1`; committing is therefore a
+  * cheap *append*, tree by tree in root order, to the per-vertex global
+  * lists, sorted by hub position, done in parallel with one thread per
+  * vertex range ([[LabelBuffers.appendRuns]]). Cleaning is grouped by tree
+  * and needs the local table only: each root's `local(h)` is snapshotted
+  * once into a dense array and every label `(v, δ)` of its tree scans
+  * `local(v)` ([[Cleaning.markRun]]). Construction already tested every
+  * label against the global table, so a superstep's cleaning cost follows
+  * the size of its own local table, not of the growing global one — which
+  * is what makes GLL's interleaved cleaning cheaper than LCC's one-shot
   * cleaning. `commitMs` is the part of `cleanMs` spent appending.
   *
   * [[GLL.runLCC]] is the two-step LCC algorithm (§4.1): exactly one
@@ -60,10 +61,10 @@ object GLL {
     // barriers, so construction threads read it lock-free (the paper's
     // lock-avoidance point).
     val global = new LabelBuffers(n, threadSafe = false)
-    // The labels `(treeV(p)(i), treeD(p)(i))` of the tree rooted at rank
-    // position `p`, kept from its construction until its superstep commits.
-    val treeV = new Array[Array[Int]](n)
-    val treeD = new Array[Array[Long]](n)
+    // Where the tree rooted at rank position p is kept until its superstep
+    // commits: (t << 32) | i, for the run starting at label i of thread t's
+    // block. Each thread's block holds its trees in the order it claimed them.
+    val runAt = new Array[Long](n)
     // thread t's scratch, for its trees and then for its cleaning snapshots
     val scratches = Array.fill(threads)(new DijkstraScratch(n))
 
@@ -82,12 +83,13 @@ object GLL {
       val local          = new LabelBuffers(n, threadSafe = true)
       val labelsThisStep = new AtomicLong(0)
       val tables         = Array(global, local)
+      val blocks         = new Array[NodeLabels](threads)
 
       val tc = System.nanoTime()
       val workers = (0 until threads).map { t =>
         new Thread(() => {
           val scratch = scratches(t)
-          val out     = new TreeBuffer
+          val out     = new NodeLabels.Builder
           var done = false
           while (!done) {
             if (labelsThisStep.get() >= limit) done = true
@@ -95,18 +97,17 @@ object GLL {
               val i = rootPos.getAndIncrement()
               if (i >= n) done = true
               else {
-                val root = rank.order(i)
-                out.size = 0
+                val start = out.size
+                runAt(i) = (t.toLong << 32) | start
                 val e = PrunedDijkstra.buildTree(
-                  g, rank, root, tables, rankQueries = true, scratch,
-                  sink = (v, d) => { local.add(v, i, d); out.add(v, d) })
-                treeV(i) = java.util.Arrays.copyOf(out.v, out.size)
-                treeD(i) = java.util.Arrays.copyOf(out.d, out.size)
-                labelsThisStep.addAndGet(out.size)
+                  g, rank, rank.order(i), tables, rankQueries = true, scratch,
+                  sink = (v, d) => { local.add(v, i, d); out.add(v, i, d) })
+                labelsThisStep.addAndGet(out.size - start)
                 exploredTot.addAndGet(e)
               }
             }
           }
+          blocks(t) = out.result()
         })
       }
       workers.foreach(_.start())
@@ -127,7 +128,7 @@ object GLL {
       // Both tables are read-only until the commit, so the local table is
       // read without its locks.
       val ts = System.nanoTime()
-      val redundant   = new Array[Array[Boolean]](b - a)
+      val marks       = blocks.map(bl => new Array[Boolean](bl.size))
       val cleanPos    = new AtomicInteger(a)
       val removedBy   = new Array[Long](threads)
       var commitStart = 0L
@@ -137,17 +138,8 @@ object GLL {
           val scratch = scratches(t)
           var p = cleanPos.getAndIncrement()
           while (p < b) {
-            val tv = treeV(p); val td = treeD(p)
-            scratch.reset()
-            local.appendRootSnapshot(rank.order(p), scratch)
-            val marks = new Array[Boolean](tv.length)
-            var i = 0
-            while (i < tv.length) {
-              val lv = local.bufs(tv(i))
-              marks(i) = Cleaning.isRedundant(p, td(i), scratch.rootDist, lv.hubs, lv.dists, lv.size)
-              i += 1
-            }
-            redundant(p - a) = marks
+            val k = (runAt(p) >>> 32).toInt
+            Cleaning.markRun(blocks(k), runAt(p).toInt, p, local, rank, scratch, marks(k))
             p = cleanPos.getAndIncrement()
           }
           cleaned.await()
@@ -157,22 +149,7 @@ object GLL {
           // lists stay sorted by hub position.
           val lo = (n.toLong * t / threads).toInt
           val hi = (n.toLong * (t + 1) / threads).toInt
-          var rm = 0L
-          p = a
-          while (p < b) {
-            val tv = treeV(p); val td = treeD(p); val marks = redundant(p - a)
-            var i = 0
-            while (i < tv.length) {
-              val v = tv(i)
-              if (v >= lo && v < hi) {
-                if (marks(i)) rm += 1
-                else global.add(v, p, td(i))
-              }
-              i += 1
-            }
-            p += 1
-          }
-          removedBy(t) = rm
+          removedBy(t) = global.appendRuns(blocks, marks, lo, hi)
         })
       }
       cleaners.foreach(_.start())
@@ -180,8 +157,6 @@ object GLL {
       val te = System.nanoTime()
       commitNs += te - commitStart
       removed += removedBy.sum
-      var p = a
-      while (p < b) { treeV(p) = null; treeD(p) = null; p += 1 }
       cleanNs += te - ts
     }
 
@@ -196,20 +171,5 @@ object GLL {
       redundantRemoved = removed,
       explored = exploredTot.get(),
     )
-  }
-
-  /** One construction thread's growable `(v, d)` record of its current tree. */
-  private final class TreeBuffer {
-    var v: Array[Int]  = new Array[Int](64)
-    var d: Array[Long] = new Array[Long](64)
-    var size: Int      = 0
-
-    def add(vv: Int, dd: Long): Unit = {
-      if (size == v.length) {
-        v = java.util.Arrays.copyOf(v, size * 2)
-        d = java.util.Arrays.copyOf(d, size * 2)
-      }
-      v(size) = vv; d(size) = dd; size += 1
-    }
   }
 }

@@ -69,9 +69,46 @@ final class LabelBuffers(val n: Int, val threadSafe: Boolean) extends Serializab
     s
   }
 
+  /** Appends the labels of `blocks`, merged by root: root by root in
+    * ascending rank position, the root's run from whichever block holds it.
+    * Only labels whose `v` lies in `[lo, hi)` are appended, and of those
+    * none that `marks` marks (`marks(k)(i)` for label `i` of block `k`;
+    * null: none). Returns the count of marked labels skipped. Appending a
+    * superstep whose roots all rank below every hub already here keeps
+    * each list sorted by hub position.
+    */
+  def appendRuns(blocks: Array[NodeLabels], marks: Array[Array[Boolean]], lo: Int, hi: Int): Long = {
+    val at = new Array[Int](blocks.length) // each block's next run
+    var skipped = 0L
+    var k = 0
+    while (k >= 0) {
+      k = -1 // the block whose next run has the lowest root h, if any is left
+      var h = Int.MaxValue
+      var j = 0
+      while (j < blocks.length) {
+        if (at(j) < blocks(j).size && blocks(j).h(at(j)) < h) { k = j; h = blocks(j).h(at(j)) }
+        j += 1
+      }
+      if (k >= 0) {
+        val b = blocks(k); val m = if (marks == null) null else marks(k)
+        var i = at(k)
+        while (i < b.size && b.h(i) == h) {
+          val v = b.v(i)
+          if (v >= lo && v < hi) {
+            if (m != null && m(i)) skipped += 1
+            else add(v, h, b.d(i))
+          }
+          i += 1
+        }
+        at(k) = i
+      }
+    }
+    skipped
+  }
+
   /** A copy as a [[Labeling]]. Lists that rank-ordered root loops filled
-    * (SeqPLL, GLL's commit) already ascend and are copied as they are; any
-    * other list is sorted by hub position on the way.
+    * (SeqPLL, [[appendRuns]] of one phase) already ascend and are copied as
+    * they are; any other list is sorted by hub position on the way.
     */
   def toLabeling(rank: Ranking): Labeling = {
     val total = labelCount
@@ -101,6 +138,66 @@ final class LabelBuffers(val n: Int, val threadSafe: Boolean) extends Serializab
       v += 1
     }
     new Labeling(rank, offsets, hubPos, pages)
+  }
+}
+
+/** The labels of a set of trees, as parallel columns: label `i` says vertex
+  * `v(i)` is at distance `d(i)` from the hub at rank position `h(i)`.
+  *
+  * A block holds one contiguous run of labels per root, roots ascending —
+  * the trees one GLL thread built in a superstep, the ones a DGLL node
+  * generated, or a node's planted batches concatenated in batch order.
+  * [[Cleaning.markRun]] marks a run and [[LabelBuffers.appendRuns]] merges
+  * blocks run by run.
+  */
+final class NodeLabels(val v: Array[Int], val h: Array[Int], val d: Array[Long]) extends Serializable {
+  def size: Int = v.length
+
+  /** The labels `i` for which `keep(i)` holds, in column order. */
+  def select(keep: Int => Boolean): NodeLabels = {
+    val b = new NodeLabels.Builder
+    var i = 0
+    while (i < size) { if (keep(i)) b.add(v(i), h(i), d(i)); i += 1 }
+    b.result()
+  }
+
+  /** Per-vertex lists of this block's labels over `n` vertices. */
+  def index(n: Int): LabelBuffers = {
+    val t = new LabelBuffers(n, threadSafe = false)
+    t.appendRuns(Array(this), null, 0, n)
+    t
+  }
+}
+
+object NodeLabels {
+  val empty = new NodeLabels(Array.emptyIntArray, Array.emptyIntArray, Array.emptyLongArray)
+
+  /** All labels of `blocks`, in order. */
+  def concat(blocks: Seq[NodeLabels]): NodeLabels =
+    new NodeLabels(Array.concat(blocks.map(_.v): _*), Array.concat(blocks.map(_.h): _*),
+      Array.concat(blocks.map(_.d): _*))
+
+  /** Growable columns for a tree sink. */
+  final class Builder {
+    private var v = new Array[Int](16)
+    private var h = new Array[Int](16)
+    private var d = new Array[Long](16)
+    private var len = 0
+
+    def size: Int = len
+
+    def add(vv: Int, hh: Int, dd: Long): Unit = {
+      if (len == v.length) {
+        v = java.util.Arrays.copyOf(v, len * 2)
+        h = java.util.Arrays.copyOf(h, len * 2)
+        d = java.util.Arrays.copyOf(d, len * 2)
+      }
+      v(len) = vv; h(len) = hh; d(len) = dd; len += 1
+    }
+
+    def result(): NodeLabels =
+      new NodeLabels(java.util.Arrays.copyOf(v, len), java.util.Arrays.copyOf(h, len),
+        java.util.Arrays.copyOf(d, len))
   }
 }
 
@@ -135,5 +232,25 @@ object Cleaning {
       i += 1
     }
     false
+  }
+
+  /** Marks the redundant labels of root `h`'s run in `block`, the labels
+    * from index `from` on whose hub is `h`, setting `marks(i)` for each
+    * label `i` of the run: the root's list `witnesses(rank.order(h))` is
+    * snapshotted into `scratch` once, then each label `(v, delta)` scans
+    * `witnesses(v)`. Returns the run's end, `from` when `block` holds no
+    * run of `h` there.
+    */
+  def markRun(block: NodeLabels, from: Int, h: Int, witnesses: LabelBuffers, rank: Ranking,
+              scratch: DijkstraScratch, marks: Array[Boolean]): Int = {
+    scratch.reset()
+    witnesses.appendRootSnapshot(rank.order(h), scratch)
+    var i = from
+    while (i < block.size && block.h(i) == h) {
+      val b = witnesses.bufs(block.v(i))
+      marks(i) = isRedundant(h, block.d(i), scratch.rootDist, b.hubs, b.dists, b.size)
+      i += 1
+    }
+    i
   }
 }

@@ -92,9 +92,9 @@ object DGLL {
     // exchanged, and each node sees only its own block of them, `prior(pid)`.
     // Each superstep's roots rank below all earlier ones, so committing appends
     // to lists sorted by hub position, as GLL's commit does. It is broadcast
-    // as it is: the driver appends to it only in `commit`, after the
-    // superstep's job and `bcGlobal.destroy()`, so no task reads it while it
-    // grows (in local mode tasks share the driver's instance).
+    // as it is: the driver appends to it only after the superstep's jobs and
+    // `bcGlobal.destroy()`, so no task reads it while it grows (in local mode
+    // tasks share the driver's instance).
     val global = new LabelBuffers(n, threadSafe = false)
 
     var pos = startPos
@@ -125,93 +125,53 @@ object DGLL {
       acc.explored += explored.sum
       acc.recordExchange(generated, q, cleaned = !paraPLL)
 
-      val redundant =
+      val marks =
         if (paraPLL || generated == 0) null
-        else {
-          val bits = cleanCandidates(spark, bcPrior, bcRank, candidates)
-          acc.redundantRemoved += bits.count(identity)
-          bits
-        }
-      commit(global, q, a, b, candidates, redundant)
+        else cleanCandidates(spark, bcPrior, bcRank, candidates)
+      acc.redundantRemoved += global.appendRuns(candidates, marks, 0, n)
     }
     if (bcHc != null) bcHc.destroy()
     bcPrior.destroy()
     global
   }
 
-  /** Appends the candidates not marked `redundant` (null: none) to the
-    * global table in order of their hub positions: roots `a until b` in
-    * turn, each root's labels being one contiguous run of its owner's block.
-    */
-  private def commit(global: LabelBuffers, q: Int, a: Int, b: Int,
-                     candidates: Array[NodeLabels], redundant: Array[Boolean]): Unit = {
-    val base   = candidates.scanLeft(0)(_ + _.size) // block i's first bit
-    val cursor = new Array[Int](q)
-    var p = a
-    while (p < b) {
-      val c = candidates(p % q)
-      var i = cursor(p % q)
-      while (i < c.size && c.h(i) == p) {
-        if (redundant == null || !redundant(base(p % q) + i)) global.add(c.v(i), p, c.d(i))
-        i += 1
-      }
-      cursor(p % q) = i
-      p += 1
-    }
-  }
-
   /** Distributed cleaning (§5.1): broadcast the superstep's candidate
     * labels; each node marks the candidates it can prove redundant using
     * witness hubs *it owns* (their labels for both endpoints live here);
-    * OR-allreduce the bitvectors. Bit `k` is candidate `k` in the order of
-    * `candidates` flattened. Witnesses lie in `prior` and the candidates
-    * only: were an earlier superstep's hub `w` one for `(v, h, δ)`, `w`
-    * would be in `global(h)` and `global(v)`, and `h`'s tree would not have
-    * emitted `v` at `δ`.
+    * OR-allreduce the bitvectors, one per candidate block. Witnesses lie
+    * in `prior` and the candidates only: were an earlier superstep's hub
+    * `w` one for `(v, h, δ)`, `w` would be in `global(h)` and `global(v)`,
+    * and `h`'s tree would not have emitted `v` at `δ`.
     */
   private def cleanCandidates(
       spark: SparkSession,
       bcPrior: Broadcast[Array[NodeLabels]],
       bcRank: Broadcast[Ranking],
       candidates: Array[NodeLabels],
-  ): Array[Boolean] = {
+  ): Array[Array[Boolean]] = {
     val sc     = spark.sparkContext
     val bcCand = sc.broadcast(candidates)
-    val total  = candidates.map(_.size).sum
-    val bits = sc.parallelize(candidates.indices, candidates.length)
+    val marks = sc.parallelize(candidates.indices, candidates.length)
       .mapPartitionsWithIndex { (pid, _) =>
         val rk   = bcRank.value
         val cand = bcCand.value
         // per-vertex lists of this node's candidate witnesses: its prior
         // labels, then this superstep's candidates generated here
-        val lab = cand(pid).addTo(bcPrior.value(pid).index(rk.n))
-        val res = new Array[Boolean](total)
+        val lab = bcPrior.value(pid).index(rk.n)
+        lab.appendRuns(Array(cand(pid)), null, 0, rk.n)
         val scratch = new DijkstraScratch(rk.n)
-        var k = 0
-        cand.foreach { c =>
+        Iterator.single(cand.map { c =>
+          val m = new Array[Boolean](c.size)
           var i = 0
-          while (i < c.size) {
-            // one run per root: snapshot lab(h) once for all its labels;
-            // h is a rank position, lab is indexed by vertex
-            val h = c.h(i)
-            scratch.reset()
-            lab.appendRootSnapshot(rk.order(h), scratch)
-            while (i < c.size && c.h(i) == h) {
-              val bv = lab.bufs(c.v(i))
-              res(k) = Cleaning.isRedundant(h, c.d(i), scratch.rootDist, bv.hubs, bv.dists, bv.size)
-              i += 1; k += 1
-            }
-          }
-        }
-        Iterator.single(res)
+          while (i < c.size) i = Cleaning.markRun(c, i, c.h(i), lab, rk, scratch, m)
+          m
+        })
       }
-      .treeReduce { (x, y) =>
-        val r = new Array[Boolean](x.length)
-        var i = 0
-        while (i < x.length) { r(i) = x(i) || y(i); i += 1 }
-        r
+      .reduce { (x, y) =>
+        for (k <- x.indices; i <- x(k).indices) x(k)(i) |= y(k)(i)
+        x
       }
     bcCand.destroy()
-    bits
+    marks
   }
 }

@@ -2,7 +2,7 @@ package repro.dist
 
 import org.apache.spark.sql.SparkSession
 import scala.collection.mutable.ArrayBuffer
-import repro.core.{DijkstraScratch, LabelBuffers, Labeling}
+import repro.core.{DijkstraScratch, LabelBuffers, Labeling, NodeLabels}
 import repro.graph.{CsrGraph, Ranking}
 
 /** PLaNT (§5.2) and the Hybrid PLaNT→DGLL algorithm (§5.2.1).
@@ -73,9 +73,9 @@ object Hybrid {
       acc.explored += exploredThisBatch
 
       if (hc != null) {
-        val hcNew = NodeLabels.concat(fresh.map(nl => nl.select(nl.h(_) < etaEff)).toSeq)
-        hcNew.addTo(hc)
-        acc.recordCommonTableBroadcast(hcNew.size.toLong, q)
+        val hcNew = fresh.map(nl => nl.select(nl.h(_) < etaEff))
+        hc.appendRuns(hcNew, null, 0, n)
+        acc.recordCommonTableBroadcast(hcNew.map(_.size.toLong).sum, q)
       }
 
       val psi = exploredThisBatch.toDouble / math.max(1L, labelsThisBatch)

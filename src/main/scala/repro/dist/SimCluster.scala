@@ -1,69 +1,8 @@
 package repro.dist
 
 import org.apache.spark.SparkContext
-import repro.core.{LabelBuffers, Labeling}
+import repro.core.{LabelBuffers, Labeling, NodeLabels}
 import repro.graph.Ranking
-
-/** The labels one simulated node stores, as parallel columns: label `i` says
-  * vertex `v(i)` is at distance `d(i)` from the hub at rank position `h(i)`.
-  *
-  * A node stores exactly the labels of the hubs it owns. A block a
-  * superstep or batch produces holds one contiguous run of labels per root,
-  * in root order, which DGLL's commit and cleaning rely on; a node's
-  * batches are concatenated in batch order, so in column order each
-  * vertex's hub positions ascend.
-  */
-final class NodeLabels(val v: Array[Int], val h: Array[Int], val d: Array[Long]) extends Serializable {
-  def size: Int = v.length
-
-  /** The labels `i` for which `keep(i)` holds, in column order. */
-  def select(keep: Int => Boolean): NodeLabels = {
-    val b = new NodeLabels.Builder
-    var i = 0
-    while (i < size) { if (keep(i)) b.add(v(i), h(i), d(i)); i += 1 }
-    b.result()
-  }
-
-  /** Appends every label to `into`'s per-vertex lists, in column order. */
-  def addTo(into: LabelBuffers): LabelBuffers = {
-    var i = 0
-    while (i < size) { into.add(v(i), h(i), d(i)); i += 1 }
-    into
-  }
-
-  /** Per-vertex lists of this block's labels over `n` vertices. */
-  def index(n: Int): LabelBuffers = addTo(new LabelBuffers(n, threadSafe = false))
-}
-
-object NodeLabels {
-  val empty = new NodeLabels(Array.emptyIntArray, Array.emptyIntArray, Array.emptyLongArray)
-
-  /** All labels of `blocks`, in order. */
-  def concat(blocks: Seq[NodeLabels]): NodeLabels =
-    new NodeLabels(Array.concat(blocks.map(_.v): _*), Array.concat(blocks.map(_.h): _*),
-      Array.concat(blocks.map(_.d): _*))
-
-  /** Growable columns for a tree sink. */
-  final class Builder {
-    private var v = new Array[Int](16)
-    private var h = new Array[Int](16)
-    private var d = new Array[Long](16)
-    private var size = 0
-
-    def add(vv: Int, hh: Int, dd: Long): Unit = {
-      if (size == v.length) {
-        v = java.util.Arrays.copyOf(v, size * 2)
-        h = java.util.Arrays.copyOf(h, size * 2)
-        d = java.util.Arrays.copyOf(d, size * 2)
-      }
-      v(size) = vv; h(size) = hh; d(size) = dd; size += 1
-    }
-
-    def result(): NodeLabels =
-      new NodeLabels(java.util.Arrays.copyOf(v, size), java.util.Arrays.copyOf(h, size),
-        java.util.Arrays.copyOf(d, size))
-  }
-}
 
 /** The multi-node cluster substrate (DESIGN.md §3/§4).
   *
@@ -73,9 +12,9 @@ object NodeLabels {
   * position `h`, the paper's circular task split) and returns its block to
   * the driver. The driver keeps node `i`'s planted labels as block `i` of an
   * array; a DGLL phase's labels, broadcast to every node, are kept once, in
-  * the driver's table. Broadcasts are `sc.broadcast`, allreduce is
-  * `treeReduce`, and communication volume is metered in bytes by the driver
-  * using the paper's 12-byte-per-label accounting.
+  * the driver's table. Broadcasts are `sc.broadcast`, allreduce is a
+  * `reduce` on the driver, and communication volume is metered in bytes by
+  * the driver using the paper's 12-byte-per-label accounting.
   */
 object SimCluster {
 
@@ -119,7 +58,7 @@ object SimCluster {
   ): (Labeling, DistStats) = {
     val perNode = blocks.map(_.size.toLong)
     global.bufs.foreach(b => (0 until b.size).foreach(i => perNode(b.hubs(i) % blocks.length) += 1))
-    blocks.foreach(_.addTo(global))
+    global.appendRuns(blocks, null, 0, global.n)
     val labeling = global.toLabeling(rank)
     (labeling, DistStats(
       timeMs = (System.nanoTime() - t0) / 1000000,
@@ -172,7 +111,4 @@ final case class DistStats(
     perNodeLabels: Array[Long],
     switchPos: Int = -1, // Hybrid: rank position of the PLaNT→DGLL switch
     commonTableLabels: Long = 0, // Hybrid: labels in the final common table
-) {
-  /** Ψ of the whole run: vertices explored per label generated. */
-  def psi: Double = explored.toDouble / math.max(1L, labelsGenerated)
-}
+)

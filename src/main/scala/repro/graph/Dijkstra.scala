@@ -1,7 +1,7 @@
 package repro.graph
 
-/** Reference shortest-path algorithms — the independent distance oracle
-  * used by tests and by the approximate-betweenness ranking.
+/** Reference shortest paths — the independent distance oracle used by
+  * tests and by the approximate-betweenness ranking.
   */
 object Dijkstra {
 
@@ -28,43 +28,6 @@ object Dijkstra {
       }
     }
     dist
-  }
-
-  /** All-pairs distances via Floyd–Warshall — an implementation independent
-    * from the heap code above, so the two can cross-check each other.
-    */
-  def floydWarshall(g: CsrGraph): Array[Array[Long]] = {
-    val n = g.n
-    val d = Array.fill(n, n)(Inf)
-    var v = 0
-    while (v < n) {
-      d(v)(v) = 0
-      var e = g.offsets(v)
-      while (e < g.offsets(v + 1)) {
-        val u = g.nbrs(e)
-        if (g.wts(e) < d(v)(u)) d(v)(u) = g.wts(e)
-        e += 1
-      }
-      v += 1
-    }
-    var k = 0
-    while (k < n) {
-      var i = 0
-      while (i < n) {
-        val dik = d(i)(k)
-        if (dik < Inf) {
-          var j = 0
-          while (j < n) {
-            val nd = dik + d(k)(j)
-            if (nd < d(i)(j)) d(i)(j) = nd
-            j += 1
-          }
-        }
-        i += 1
-      }
-      k += 1
-    }
-    d
   }
 }
 

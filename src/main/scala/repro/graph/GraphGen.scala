@@ -8,7 +8,7 @@ import scala.util.Random
   * These stand in for the paper's 12 real datasets (DESIGN.md §3): 2-D grids
   * emulate high-diameter road networks, preferential attachment emulates
   * scale-free networks, Erdős–Rényi gives a dense poorly-labelable graph
-  * (POK analog), and `randomSparse` feeds the property tests.
+  * (POK analog). The tests' small random graphs are in `TestGraphs`.
   *
   * All generators are pure functions of their parameters and seed.
   */
@@ -97,41 +97,5 @@ object GraphGen {
       }
     }
     CsrGraph.fromEdges(n, es)
-  }
-
-  /** Small random sparse graph for property tests; may be disconnected.
-    * Weights in `[1, maxW]`.
-    */
-  def randomSparse(n: Int, m: Int, maxW: Int, seed: Long): CsrGraph = {
-    val rnd = new Random(seed)
-    val es  = mutable.ArrayBuffer.empty[(Int, Int, Int)]
-    var i = 0
-    while (i < m) {
-      val u = rnd.nextInt(n); val v = rnd.nextInt(n)
-      if (u != v) es += ((u, v, 1 + rnd.nextInt(maxW)))
-      i += 1
-    }
-    CsrGraph.fromEdges(n, es.toSeq)
-  }
-
-  /** Random connected graph: a random spanning tree plus `extra` random
-    * edges. Used where tests want every pair reachable.
-    */
-  def randomConnected(n: Int, extra: Int, maxW: Int, seed: Long): CsrGraph = {
-    val rnd = new Random(seed)
-    val es  = mutable.ArrayBuffer.empty[(Int, Int, Int)]
-    val perm = rnd.shuffle((0 until n).toVector)
-    var i = 1
-    while (i < n) {
-      es += ((perm(i), perm(rnd.nextInt(i)), 1 + rnd.nextInt(maxW)))
-      i += 1
-    }
-    var j = 0
-    while (j < extra) {
-      val u = rnd.nextInt(n); val v = rnd.nextInt(n)
-      if (u != v) es += ((u, v, 1 + rnd.nextInt(maxW)))
-      j += 1
-    }
-    CsrGraph.fromEdges(n, es.toSeq)
   }
 }

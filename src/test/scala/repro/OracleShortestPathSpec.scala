@@ -2,7 +2,7 @@ package repro
 
 import repro.core.{GLL, SeqPLL}
 import repro.dist.Plant
-import repro.graph.{CsrGraph, Dijkstra, GraphGen}
+import repro.graph.{CsrGraph, Dijkstra, TestGraphs}
 
 /** End-to-end correctness of hub-label PPSD answers against DuckDB: the
   * oracle recomputes all-pairs shortest distances from the raw edge table
@@ -44,7 +44,7 @@ class OracleShortestPathSpec extends SparkSpec {
 
   for (seed <- 1 to 6)
     test(s"seqPLL query results match DuckDB shortest paths (seed=$seed)") {
-      val g = GraphGen.randomSparse(8 + seed % 3, 14, maxW = 4, seed = 100 + seed)
+      val g = TestGraphs.randomSparse(8 + seed % 3, 14, maxW = 4, seed = 100 + seed)
       val r = TestUtil.rankingFor(g, seed)
       val l = SeqPLL.run(g, r).labeling
       Oracle.assertEquivalent(labelDistancesDf(g, l.query), oracleSql(g.n), "edges" -> edgesDf(g))
@@ -52,7 +52,7 @@ class OracleShortestPathSpec extends SparkSpec {
 
   for (seed <- 1 to 4)
     test(s"GLL query results match DuckDB shortest paths (seed=$seed)") {
-      val g = GraphGen.randomConnected(9, extra = 5, maxW = 4, seed = 200 + seed)
+      val g = TestGraphs.randomConnected(9, extra = 5, maxW = 4, seed = 200 + seed)
       val r = TestUtil.rankingFor(g, seed)
       val l = GLL.run(g, r, threads = 4).labeling
       Oracle.assertEquivalent(labelDistancesDf(g, l.query), oracleSql(g.n), "edges" -> edgesDf(g))
@@ -60,14 +60,14 @@ class OracleShortestPathSpec extends SparkSpec {
 
   for (seed <- 1 to 4)
     test(s"PLaNT query results match DuckDB shortest paths (seed=$seed)") {
-      val g = GraphGen.randomSparse(9, 15, maxW = 4, seed = 300 + seed)
+      val g = TestGraphs.randomSparse(9, 15, maxW = 4, seed = 300 + seed)
       val r = TestUtil.rankingFor(g, seed)
       val (l, _) = Plant.run(spark, g, r, q = 2)
       Oracle.assertEquivalent(labelDistancesDf(g, l.query), oracleSql(g.n), "edges" -> edgesDf(g))
     }
 
   test("oracle catches a corrupted labeling") {
-    val g = GraphGen.randomConnected(8, extra = 4, maxW = 3, seed = 7)
+    val g = TestGraphs.randomConnected(8, extra = 4, maxW = 3, seed = 7)
     val r = TestUtil.rankingFor(g, 1)
     val l = SeqPLL.run(g, r).labeling
     val broken: (Int, Int) => Long = (u, v) => l.query(u, v) + (if (u == 0 && v == 1) 1 else 0)

@@ -2,7 +2,7 @@ package repro
 
 import org.scalatest.Assertions._
 import repro.core.{LabelBuffers, Labeling, ReferenceCHL}
-import repro.graph.{CsrGraph, Dijkstra, GraphGen, Ranking}
+import repro.graph.{CsrGraph, Dijkstra, GraphGen, Ranking, TestGraphs}
 
 /** Shared fixtures, helpers and assertions for the labeling test suites. */
 object TestUtil {
@@ -43,8 +43,8 @@ object TestUtil {
     * disconnected), connected random, grid, preferential attachment.
     */
   def graphFor(seed: Int): (CsrGraph, String) = (seed % 4) match {
-    case 0 => (GraphGen.randomSparse(20 + seed % 17, 35 + seed % 23, maxW = 9, seed), "sparse")
-    case 1 => (GraphGen.randomConnected(25 + seed % 13, extra = 12, maxW = 7, seed), "connected")
+    case 0 => (TestGraphs.randomSparse(20 + seed % 17, 35 + seed % 23, maxW = 9, seed), "sparse")
+    case 1 => (TestGraphs.randomConnected(25 + seed % 13, extra = 12, maxW = 7, seed), "connected")
     case 2 => (GraphGen.grid(4 + seed % 3, 5 + seed % 4, seed), "grid")
     case _ => (GraphGen.preferentialAttachment(24 + seed % 11, 2 + seed % 3, seed), "ba")
   }

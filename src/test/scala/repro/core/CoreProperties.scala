@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalacheck.{Gen, Prop, Properties}
-import repro.graph.{CsrGraph, Dijkstra, GraphGen, LongMinHeap, Ranking}
+import repro.graph.{CsrGraph, LongMinHeap, Ranking, TestGraphs}
 import repro.TestUtil._
 
 /** ScalaCheck property suites over the pure (non-Spark) core.
@@ -17,7 +17,7 @@ object CoreProperties extends Properties("repro.core") {
     m    <- Gen.choose(1, 3 * n)
     maxW <- Gen.choose(1, 9)
     seed <- Gen.choose(0L, 1000000L)
-  } yield GraphGen.randomSparse(n, m, maxW, seed)
+  } yield TestGraphs.randomSparse(n, m, maxW, seed)
 
   private val graphWithRank: Gen[(CsrGraph, Ranking)] = for {
     g    <- smallGraph
@@ -48,7 +48,7 @@ object CoreProperties extends Properties("repro.core") {
   property("Dijkstra agrees with Floyd-Warshall") =
     Prop.forAll(smallGraph) { g =>
       val a = allPairs(g)
-      val b = Dijkstra.floydWarshall(g)
+      val b = TestGraphs.floydWarshall(g)
       (0 until g.n).forall(u => a(u).sameElements(b(u)))
     }
 

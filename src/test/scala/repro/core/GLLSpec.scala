@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
-import repro.graph.GraphGen
+import repro.graph.{GraphGen, TestGraphs}
 import repro.TestUtil._
 
 class GLLSpec extends AnyFunSuite {
@@ -38,7 +38,7 @@ class GLLSpec extends AnyFunSuite {
   }
 
   test("GLL and LCC produce the same labeling") {
-    val g = GraphGen.randomConnected(90, 50, 8, seed = 24)
+    val g = TestGraphs.randomConnected(90, 50, 8, seed = 24)
     val r = TestUtil.rankingFor(g, 1)
     assert(GLL.run(g, r, 4, 4.0).labeling.tripleSet == GLL.runLCC(g, r, 4).labeling.tripleSet)
   }

@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
-import repro.graph.GraphGen
+import repro.graph.{GraphGen, TestGraphs}
 import repro.TestUtil._
 
 class LCCSpec extends AnyFunSuite {
@@ -24,7 +24,7 @@ class LCCSpec extends AnyFunSuite {
     }
 
   test("LCC with 1 thread generates no redundant labels to clean") {
-    val g = GraphGen.randomConnected(40, 15, 6, seed = 3)
+    val g = TestGraphs.randomConnected(40, 15, 6, seed = 3)
     val r = TestUtil.rankingFor(g, 2)
     val res = GLL.runLCC(g, r, threads = 1)
     assert(res.redundantRemoved == 0,
@@ -45,7 +45,7 @@ class LCCSpec extends AnyFunSuite {
   }
 
   test("LCC matches seqPLL exactly on a larger mixed graph") {
-    val g = GraphGen.randomConnected(120, 80, 9, seed = 11)
+    val g = TestGraphs.randomConnected(120, 80, 9, seed = 11)
     val r = TestUtil.rankingFor(g, 2)
     assert(GLL.runLCC(g, r, 8).labeling.tripleSet == SeqPLL.run(g, r).labeling.tripleSet)
   }

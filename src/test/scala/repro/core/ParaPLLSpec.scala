@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
-import repro.graph.GraphGen
+import repro.graph.{GraphGen, TestGraphs}
 import repro.TestUtil._
 
 class ParaPLLSpec extends AnyFunSuite {
@@ -29,7 +29,7 @@ class ParaPLLSpec extends AnyFunSuite {
     }
 
   test("single-threaded SparaPLL without rank queries still covers") {
-    val g = GraphGen.randomConnected(50, 20, 6, seed = 31)
+    val g = TestGraphs.randomConnected(50, 20, 6, seed = 31)
     val r = TestUtil.rankingFor(g, 1)
     TestUtil.assertCover(ParaPLL.run(g, r, threads = 1).labeling, g)
   }

@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
-import repro.graph.{CsrGraph, GraphGen, Ranking}
+import repro.graph.{CsrGraph, TestGraphs}
 import repro.TestUtil._
 
 class ReferenceCHLSpec extends AnyFunSuite {
@@ -53,7 +53,7 @@ class ReferenceCHLSpec extends AnyFunSuite {
 
   for (seed <- 1 to 10)
     test(s"reference CHL is minimal — removing any label breaks cover (seed=$seed)") {
-      val g = GraphGen.randomConnected(10 + seed, extra = 5, maxW = 5, seed = seed)
+      val g = TestGraphs.randomConnected(10 + seed, extra = 5, maxW = 5, seed = seed)
       val r = TestUtil.rankingFor(g, seed)
       val full = ReferenceCHL.labelSet(g, r)
       val l    = ReferenceCHL(g, r)

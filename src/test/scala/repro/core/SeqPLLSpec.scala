@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
-import repro.graph.{CsrGraph, GraphGen, Ranking}
+import repro.graph.{CsrGraph, GraphGen, Ranking, TestGraphs}
 import repro.TestUtil._
 
 class SeqPLLSpec extends AnyFunSuite {
@@ -31,21 +31,21 @@ class SeqPLLSpec extends AnyFunSuite {
   }
 
   test("every vertex gets a self label") {
-    val g = GraphGen.randomSparse(25, 40, 5, seed = 6)
+    val g = TestGraphs.randomSparse(25, 40, 5, seed = 6)
     val r = randomRanking(g.n, 6)
     val l = SeqPLL.run(g, r).labeling
     (0 until g.n).foreach(v => assert(l.tripleSet.contains((v, v, 0L)), s"no self label at $v"))
   }
 
   test("hubs always outrank the labeled vertex (rank queries)") {
-    val g = GraphGen.randomConnected(30, 10, 6, seed = 7)
+    val g = TestGraphs.randomConnected(30, 10, 6, seed = 7)
     val r = randomRanking(g.n, 7)
     val l = SeqPLL.run(g, r).labeling
     l.triples.foreach(t => assert(t.v == t.h || r(t.h) > r(t.v), s"hub ${t.h} below vertex ${t.v}"))
   }
 
   test("highest-ranked vertex has only its self label") {
-    val g = GraphGen.randomConnected(20, 8, 4, seed = 8)
+    val g = TestGraphs.randomConnected(20, 8, 4, seed = 8)
     val r = randomRanking(g.n, 8)
     val l = SeqPLL.run(g, r).labeling
     val top = r.order(0)

@@ -2,7 +2,7 @@ package repro.dist
 
 import repro.{SparkSpec, TestUtil}
 import repro.core.SeqPLL
-import repro.graph.{GraphGen, Ranking}
+import repro.graph.{GraphGen, Ranking, TestGraphs}
 import repro.TestUtil._
 
 class DGLLSpec extends SparkSpec {
@@ -88,7 +88,7 @@ class DGLLSpec extends SparkSpec {
   }
 
   test("disconnected graphs survive the distributed path") {
-    val g = GraphGen.randomSparse(40, 30, 5, seed = 56)
+    val g = TestGraphs.randomSparse(40, 30, 5, seed = 56)
     val r = randomRanking(g.n, 56)
     val (l, _) = DGLL.run(spark, g, r, q = 4)
     TestUtil.assertCover(l, g)

@@ -2,7 +2,7 @@ package repro.dist
 
 import repro.{SparkSpec, TestUtil}
 import repro.core.SeqPLL
-import repro.graph.{GraphGen, Ranking}
+import repro.graph.{GraphGen, Ranking, TestGraphs}
 
 /** The distributed constructors against SeqPLL on a graph large enough that
   * trees race within a superstep and every node stores thousands of labels,
@@ -36,8 +36,8 @@ class DistDifferentialSpec extends SparkSpec {
     val rnd  = new scala.util.Random(seed)
     val n    = 100 + rnd.nextInt(201)
     val g    = rnd.nextInt(4) match {
-      case 0 => GraphGen.randomSparse(n, 2 * n, maxW = 9, seed)
-      case 1 => GraphGen.randomConnected(n, extra = n / 2, maxW = 7, seed)
+      case 0 => TestGraphs.randomSparse(n, 2 * n, maxW = 9, seed)
+      case 1 => TestGraphs.randomConnected(n, extra = n / 2, maxW = 7, seed)
       case 2 => GraphGen.grid(10, n / 10, seed)
       case _ => GraphGen.preferentialAttachment(n, 2 + rnd.nextInt(3), seed)
     }

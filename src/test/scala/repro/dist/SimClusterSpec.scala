@@ -1,7 +1,7 @@
 package repro.dist
 
 import repro.SparkSpec
-import repro.core.LabelBuffers
+import repro.core.{LabelBuffers, NodeLabels}
 import repro.graph.{GraphGen, Ranking}
 import repro.TestUtil._
 

@@ -22,21 +22,21 @@ class DijkstraSpec extends AnyFunSuite {
   }
 
   test("distance to self is zero") {
-    val g = GraphGen.randomConnected(20, 5, 7, seed = 1)
+    val g = TestGraphs.randomConnected(20, 5, 7, seed = 1)
     (0 until g.n).foreach(v => assert(Dijkstra.sssp(g, v)(v) == 0))
   }
 
   for (seed <- 1 to 16)
     test(s"Dijkstra matches Floyd-Warshall on random graph (seed=$seed)") {
-      val g  = GraphGen.randomSparse(15 + seed, 30 + 2 * seed, maxW = 9, seed)
+      val g  = TestGraphs.randomSparse(15 + seed, 30 + 2 * seed, maxW = 9, seed)
       val dj = allPairs(g)
-      val fw = Dijkstra.floydWarshall(g)
+      val fw = TestGraphs.floydWarshall(g)
       for (u <- 0 until g.n; v <- 0 until g.n)
         assert(dj(u)(v) == fw(u)(v), s"($u,$v): ${dj(u)(v)} vs ${fw(u)(v)}")
     }
 
   test("symmetric distances on undirected graphs") {
-    val g = GraphGen.randomSparse(25, 50, maxW = 6, seed = 9)
+    val g = TestGraphs.randomSparse(25, 50, maxW = 6, seed = 9)
     val d = allPairs(g)
     for (u <- 0 until g.n; v <- 0 until g.n) assert(d(u)(v) == d(v)(u))
   }

@@ -63,11 +63,11 @@ class GraphGenSpec extends AnyFunSuite {
 
   test("randomConnected is connected for several seeds") {
     for (s <- 1 to 5)
-      assert(isConnected(GraphGen.randomConnected(40, extra = 10, maxW = 5, seed = s)), s"seed $s")
+      assert(isConnected(TestGraphs.randomConnected(40, extra = 10, maxW = 5, seed = s)), s"seed $s")
   }
 
   test("randomSparse respects the weight cap") {
-    val g = GraphGen.randomSparse(30, 60, maxW = 4, seed = 2)
+    val g = TestGraphs.randomSparse(30, 60, maxW = 4, seed = 2)
     assert(g.wts.forall(w => w >= 1 && w <= 4))
   }
 

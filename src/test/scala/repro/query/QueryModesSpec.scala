@@ -2,7 +2,7 @@ package repro.query
 
 import repro.{SparkSpec, TestUtil}
 import repro.core.GLL
-import repro.graph.{Dijkstra, GraphGen, Ranking}
+import repro.graph.{Dijkstra, TestGraphs}
 import repro.TestUtil._
 
 class QueryModesSpec extends SparkSpec {
@@ -86,7 +86,7 @@ class QueryModesSpec extends SparkSpec {
   }
 
   test("modes agree on a disconnected graph (Inf results included)") {
-    val g = GraphGen.randomSparse(30, 18, 5, seed = 11)
+    val g = TestGraphs.randomSparse(30, 18, 5, seed = 11)
     val r = randomRanking(g.n, 11)
     val l = GLL.run(g, r, 4).labeling
     val (us, vs) = QueryModes.genQueries(g.n, 200, 11)
@@ -100,7 +100,7 @@ class QueryModesSpec extends SparkSpec {
   for (q <- Seq(1, 2, 3, 7, 64))
     test(s"every mode equals Labeling.query at q=$q, on a fixture and on a disconnected graph") {
       val (_, r1, l1) = fixture(1)
-      val g2 = GraphGen.randomSparse(30, 18, 5, seed = 11)
+      val g2 = TestGraphs.randomSparse(30, 18, 5, seed = 11)
       val r2 = randomRanking(g2.n, 11)
       for ((r, l) <- Seq((r1, l1), (r2, GLL.run(g2, r2, 4).labeling))) {
         val (us, vs) = QueryModes.genQueries(l.n, 200, q)
