@@ -30,6 +30,7 @@ import repro.graph.{CsrGraph, Ranking}
   *
   * [[GLL.runLCC]] is the two-step LCC algorithm (§4.1): exactly one
   * superstep (`alpha = ∞`) followed by one full cleaning pass.
+  * [[GLL.runParaPLL]] is that superstep without rank queries or cleaning.
   */
 object GLL {
 
@@ -46,9 +47,19 @@ object GLL {
   )
 
   def runLCC(g: CsrGraph, rank: Ranking, threads: Int): Result =
-    run(g, rank, threads, alpha = Double.PositiveInfinity)
+    runWith(g, rank, threads, Double.PositiveInfinity, paraPLL = false)
 
-  def run(g: CsrGraph, rank: Ranking, threads: Int, alpha: Double = 4.0): Result = {
+  /** SparaPLL, the paper's shared-memory paraPLL baseline: its labels cover
+    * every pair but are not canonical (ALS ≥ CHL ALS, more so with threads).
+    */
+  def runParaPLL(g: CsrGraph, rank: Ranking, threads: Int): Result =
+    runWith(g, rank, threads, Double.PositiveInfinity, paraPLL = true)
+
+  def run(g: CsrGraph, rank: Ranking, threads: Int, alpha: Double = 4.0): Result =
+    runWith(g, rank, threads, alpha, paraPLL = false)
+
+  private def runWith(g: CsrGraph, rank: Ranking, threads: Int, alpha: Double,
+                      paraPLL: Boolean): Result = {
     require(threads >= 1, s"threads must be at least 1, got $threads")
     require(alpha > 0, s"superstep label limit alpha must be positive, got $alpha")
     val n  = g.n
@@ -100,7 +111,7 @@ object GLL {
                 val start = out.size
                 runAt(i) = (t.toLong << 32) | start
                 val e = PrunedDijkstra.buildTree(
-                  g, rank, rank.order(i), tables, rankQueries = true, scratch,
+                  g, rank, rank.order(i), tables, rankQueries = !paraPLL, scratch,
                   sink = (v, d) => { local.add(v, i, d); out.add(v, i, d) })
                 labelsThisStep.addAndGet(out.size - start)
                 exploredTot.addAndGet(e)
@@ -126,10 +137,10 @@ object GLL {
       // d ≤ δ, and as global and local have disjoint hub sets, every
       // witness lies in local(h) ∩ local(v). (For LCC global is empty.)
       // Both tables are read-only until the commit, so the local table is
-      // read without its locks.
+      // read without its locks. SparaPLL cleans nothing and commits all.
       val ts = System.nanoTime()
-      val marks       = blocks.map(bl => new Array[Boolean](bl.size))
-      val cleanPos    = new AtomicInteger(a)
+      val marks       = if (paraPLL) null else blocks.map(bl => new Array[Boolean](bl.size))
+      val cleanPos    = new AtomicInteger(if (paraPLL) b else a)
       val removedBy   = new Array[Long](threads)
       var commitStart = 0L
       val cleaned     = new CyclicBarrier(threads, () => commitStart = System.nanoTime())

@@ -3,14 +3,14 @@ package repro.core
 import repro.graph.Ranking
 
 /** Growable per-vertex label lists: the one table layout every distance
-  * query reads — GLL's global and local tables, a DGLL node's exchanged,
-  * own and superstep-local labels, and the Common Label Table. Vertices
-  * index the lists; each label names its hub by rank position, so "`w`
-  * outranks `h`" is `w < h`.
+  * query reads — GLL's global and local tables, a DGLL node's exchanged
+  * and own labels, and the Common Label Table. Vertices index the lists;
+  * each label names its hub by rank position, so "`w` outranks `h`" is
+  * `w < h`, and every producer fills each list in rank order.
   *
-  * When `threadSafe` the per-vertex buffer object is its own lock — LCC and
-  * paraPLL lock only the vertex being read/appended (the paper's point that
-  * dynamic label arrays must be locked). Tables written only between
+  * When `threadSafe` the per-vertex buffer object is its own lock — GLL's
+  * local table locks only the vertex being read/appended (the paper's point
+  * that dynamic label arrays must be locked). Tables written only between
   * barriers (GLL's global table, DGLL's broadcast ones) are read lock-free.
   */
 final class LabelBuffers(val n: Int, val threadSafe: Boolean) extends Serializable {
@@ -106,9 +106,9 @@ final class LabelBuffers(val n: Int, val threadSafe: Boolean) extends Serializab
     skipped
   }
 
-  /** A copy as a [[Labeling]]. Lists that rank-ordered root loops filled
-    * (SeqPLL, [[appendRuns]] of one phase) already ascend and are copied as
-    * they are; any other list is sorted by hub position on the way.
+  /** A copy as a [[Labeling]]. Rank-ordered root loops (SeqPLL, each
+    * [[appendRuns]]) fill every list in ascending hub order; a list that
+    * does not ascend is a commit-order bug and is rejected, naming its vertex.
     */
   def toLabeling(rank: Ranking): Labeling = {
     val total = labelCount
@@ -120,19 +120,13 @@ final class LabelBuffers(val n: Int, val threadSafe: Boolean) extends Serializab
     while (v < n) {
       val b = bufs(v); val lo = offsets(v)
       offsets(v + 1) = lo + b.size
-      var i = 1
-      while (i < b.size && b.hubs(i - 1) < b.hubs(i)) i += 1
-      // an unsorted list is read in key order: hub position in the high 32
-      // bits of a key, list index in the low 32
-      val keys =
-        if (i >= b.size) null
-        else { val ks = Array.tabulate(b.size)(k => (b.hubs(k).toLong << 32) | k); java.util.Arrays.sort(ks); ks }
-      i = 0
+      var i = 0
       while (i < b.size) {
-        val k = if (keys == null) i else keys(i).toInt
+        if (i > 0 && b.hubs(i - 1) >= b.hubs(i)) throw new IllegalArgumentException(
+          s"vertex $v: hub position ${b.hubs(i)} follows ${b.hubs(i - 1)}, but each list must ascend")
         val j = lo + i
-        hubPos(j) = b.hubs(k)
-        pages(j >>> Labeling.PageBits)(j & Labeling.PageMask) = b.dists(k)
+        hubPos(j) = b.hubs(i)
+        pages(j >>> Labeling.PageBits)(j & Labeling.PageMask) = b.dists(i)
         i += 1
       }
       v += 1

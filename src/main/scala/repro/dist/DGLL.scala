@@ -65,9 +65,10 @@ object DGLL {
     *                 PLaNT phase output, else empty blocks), block `i` on
     *                 node `i`; visible for pruning only to their owner, and
     *                 as cleaning witnesses to everyone via the bitvector
-    *                 scheme. Read, never grown. Spark broadcasts the array
-    *                 once per phase, but node `i` reads only block `i`, so
-    *                 the broadcast is simulation plumbing and not metered.
+    *                 scheme. Each superstep node `i` indexes block `i` into
+    *                 its own table, which its trees then grow. The array is
+    *                 broadcast once per phase, but node `i` reads only block
+    *                 `i`: simulation plumbing, not metered.
     * @return the phase's labels, for [[SimCluster.finish]] with `prior`
     */
   private[dist] def runSupersteps(
@@ -110,14 +111,13 @@ object DGLL {
       // collect is the superstep's label exchange (metered below)
       val (candidates, explored) = SimCluster.round(sc, q, a, b) { pid =>
         val gg = bcGraph.value; val rk = bcRank.value
-        val own   = bcPrior.value(pid).index(gg.n)
-        val local = new LabelBuffers(gg.n, threadSafe = false)
+        // grown by this superstep's trees, whose roots rank below the block's
+        val own = bcPrior.value(pid).index(gg.n)
         val tables =
-          if (bcHc != null) Array(bcGlobal.value, own, local, bcHc.value)
-          else Array(bcGlobal.value, own, local)
+          if (bcHc != null) Array(bcGlobal.value, own, bcHc.value) else Array(bcGlobal.value, own)
         val scratch = new DijkstraScratch(gg.n)
         (p, sink) => PrunedDijkstra.buildTree(gg, rk, rk.order(p), tables, rankQueries = !paraPLL,
-          scratch, sink = (v, d) => { local.add(v, p, d); sink(v, d) })
+          scratch, sink = (v, d) => { own.add(v, p, d); sink(v, d) })
       }
       bcGlobal.destroy()
       val generated = candidates.map(_.size.toLong).sum
@@ -138,10 +138,11 @@ object DGLL {
   /** Distributed cleaning (§5.1): broadcast the superstep's candidate
     * labels; each node marks the candidates it can prove redundant using
     * witness hubs *it owns* (their labels for both endpoints live here);
-    * OR-allreduce the bitvectors, one per candidate block. Witnesses lie
-    * in `prior` and the candidates only: were an earlier superstep's hub
-    * `w` one for `(v, h, δ)`, `w` would be in `global(h)` and `global(v)`,
-    * and `h`'s tree would not have emitted `v` at `δ`.
+    * OR-allreduce the bitvectors, one per candidate block, as the indices
+    * each node marked. Witnesses lie in `prior` and the candidates only:
+    * were an earlier superstep's hub `w` one for `(v, h, δ)`, `w` would be
+    * in `global(h)` and `global(v)`, and `h`'s tree would not have emitted
+    * `v` at `δ`.
     */
   private def cleanCandidates(
       spark: SparkSession,
@@ -151,7 +152,7 @@ object DGLL {
   ): Array[Array[Boolean]] = {
     val sc     = spark.sparkContext
     val bcCand = sc.broadcast(candidates)
-    val marks = sc.parallelize(candidates.indices, candidates.length)
+    val marked = sc.parallelize(candidates.indices, candidates.length)
       .mapPartitionsWithIndex { (pid, _) =>
         val rk   = bcRank.value
         val cand = bcCand.value
@@ -164,14 +165,16 @@ object DGLL {
           val m = new Array[Boolean](c.size)
           var i = 0
           while (i < c.size) i = Cleaning.markRun(c, i, c.h(i), lab, rk, scratch, m)
-          m
+          val ix = new scala.collection.mutable.ArrayBuilder.ofInt
+          i = 0
+          while (i < c.size) { if (m(i)) ix += i; i += 1 }
+          ix.result()
         })
       }
-      .reduce { (x, y) =>
-        for (k <- x.indices; i <- x(k).indices) x(k)(i) |= y(k)(i)
-        x
-      }
+      .collect()
     bcCand.destroy()
+    val marks = candidates.map(c => new Array[Boolean](c.size))
+    for (node <- marked; k <- node.indices; i <- node(k)) marks(k)(i) = true
     marks
   }
 }

@@ -13,7 +13,7 @@ import repro.graph.Ranking
   * the driver. The driver keeps node `i`'s planted labels as block `i` of an
   * array; a DGLL phase's labels, broadcast to every node, are kept once, in
   * the driver's table. Broadcasts are `sc.broadcast`, allreduce is a
-  * `reduce` on the driver, and communication volume is metered in bytes by
+  * gather to the driver, and communication volume is metered in bytes by
   * the driver using the paper's 12-byte-per-label accounting.
   */
 object SimCluster {
@@ -41,10 +41,10 @@ object SimCluster {
       Iterator.single((out.result(), explored))
     }.collect().unzip
 
-  /** Adds the planted `blocks` (block `i` is node `i`'s) to `global` (a DGLL
-    * phase's labels) and assembles the run's labeling and stats. Node `i`
-    * stores its block and the labels of `global` whose hub it owns; DparaPLL
-    * (`replicate`) keeps every label on every node.
+  /** Joins the planted `blocks` (block `i` is node `i`'s) and `global` (a
+    * DGLL phase's labels) and assembles the run's labeling and stats. Node
+    * `i` stores its block and the labels of `global` whose hub it owns;
+    * DparaPLL (`replicate`) keeps every label on every node.
     */
   def finish(
       blocks: Array[NodeLabels],
@@ -57,9 +57,15 @@ object SimCluster {
       commonTableLabels: Long = 0,
   ): (Labeling, DistStats) = {
     val perNode = blocks.map(_.size.toLong)
-    global.bufs.foreach(b => (0 until b.size).foreach(i => perNode(b.hubs(i) % blocks.length) += 1))
-    global.appendRuns(blocks, null, 0, global.n)
-    val labeling = global.toLabeling(rank)
+    // each list takes the planted labels first: they outrank every hub of a
+    // later DGLL phase
+    val all = new LabelBuffers(global.n, threadSafe = false)
+    all.appendRuns(blocks, null, 0, all.n)
+    for (v <- 0 until global.n) {
+      val b = global.bufs(v)
+      (0 until b.size).foreach { i => perNode(b.hubs(i) % blocks.length) += 1; all.add(v, b.hubs(i), b.dists(i)) }
+    }
+    val labeling = all.toLabeling(rank)
     (labeling, DistStats(
       timeMs = (System.nanoTime() - t0) / 1000000,
       syncs = acc.syncs,

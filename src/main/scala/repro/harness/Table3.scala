@@ -1,6 +1,6 @@
 package repro.harness
 
-import repro.core.{GLL, ParaPLL, SeqPLL}
+import repro.core.{GLL, SeqPLL}
 
 /** Table 3 harness: shared-memory ALS + build-time comparison of
   * SparaPLL, seqPLL, LCC and GLL on every dataset. `CHL ALS` is the
@@ -22,7 +22,7 @@ object Table3 {
              runSeq: Boolean = true): Row = {
     val g    = spec.graph(scale)
     val rank = spec.ranking(g)
-    val spara = ParaPLL.run(g, rank, threads)
+    val spara = GLL.runParaPLL(g, rank, threads)
     val lcc   = GLL.runLCC(g, rank, threads)
     val gll   = GLL.run(g, rank, threads, alpha)
     val seqT  = if (runSeq) SeqPLL.run(g, rank).timeMs / 1000.0 else Double.NaN

@@ -22,10 +22,13 @@ object TestUtil {
     def tripleSet: Set[(Int, Int, Long)] = triples.map(t => (t.v, t.h, t.d)).toSet
   }
 
-  /** The labeling of `(v, h, d)` triples in any order, hubs as vertex ids. */
+  /** The labeling of `(v, h, d)` triples in any order, hubs as vertex ids.
+    * The triples are added by vertex and hub position, so each list ascends.
+    */
   def fromTriples(rank: Ranking, ts: Iterable[(Int, Int, Long)]): Labeling = {
     val store = new LabelBuffers(rank.n, threadSafe = false)
-    ts.foreach { case (v, h, d) => store.add(v, rank.posOf(h), d) }
+    ts.toSeq.map { case (v, h, d) => (v, rank.posOf(h), d) }.sortBy(t => (t._1, t._2))
+      .foreach { case (v, p, d) => store.add(v, p, d) }
     store.toLabeling(rank)
   }
 

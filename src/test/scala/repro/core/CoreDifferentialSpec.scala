@@ -46,6 +46,17 @@ class CoreDifferentialSpec extends AnyFunSuite {
       }
     }
 
+  test("GLL.runParaPLL at 1 thread equals SeqPLL") {
+    // one thread builds the trees in rank order, each seeing every earlier
+    // tree's labels, so even without rank queries nothing is left to clean
+    for (name <- Seq("grid", "ba")) {
+      val (g, rank, chl) = cases(name)
+      val r = GLL.runParaPLL(g, rank, threads = 1)
+      TestUtil.assertSameLabels(chl, r.labeling, s"SparaPLL, $name")
+      assert(r.labelsGenerated == r.labeling.labelCount && r.redundantRemoved == 0, name)
+    }
+  }
+
   // Random cases: a 100–300-vertex graph and ranking, α (log-uniform in
   // [0.05, 8]) and the thread count are drawn from the case's seed, which
   // the test name records.

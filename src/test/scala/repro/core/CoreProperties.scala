@@ -85,7 +85,7 @@ object CoreProperties extends Properties("repro.core") {
 
   property("paraPLL labeling still covers all pairs") =
     Prop.forAll(graphWithRank) { case (g, r) =>
-      val l = ParaPLL.run(g, r, threads = 4).labeling
+      val l = GLL.runParaPLL(g, r, threads = 4).labeling
       val d = allPairs(g)
       (0 until g.n).forall(u => (0 until g.n).forall(v => l.query(u, v) == d(u)(v)))
     }
@@ -103,14 +103,22 @@ object CoreProperties extends Properties("repro.core") {
 
   property("toLabeling sorts labels added in random order by hub position") =
     Prop.forAll(graphWithRank, Gen.choose(0L, 1000L)) { case ((g, r), seed) =>
-      // the canonical (vertex, hub position) pairs in random order, each
-      // with a distance that names its pair
+      // the canonical (vertex, hub position) pairs, each with a distance
+      // that names its pair, added in random order: each root's run goes to
+      // a random one of up to four blocks, its vertices shuffled. The merge
+      // by root in appendRuns does the ordering; toLabeling checks it.
       val l = SeqPLL.run(g, r).labeling
       def tag(v: Int, p: Int): Long = v.toLong * g.n + p
       val labels = (0 until g.n).flatMap(v =>
         (l.offsets(v) until l.offsets(v + 1)).map(k => (v, l.hubPos(k), tag(v, l.hubPos(k)))))
+      val rnd    = new scala.util.Random(seed)
+      val blocks = Array.fill(1 + rnd.nextInt(4))(new NodeLabels.Builder)
+      labels.groupBy(_._2).toSeq.sortBy(_._1).foreach { case (_, run) =>
+        val b = blocks(rnd.nextInt(blocks.length))
+        rnd.shuffle(run).foreach { case (v, p, d) => b.add(v, p, d) }
+      }
       val store = new LabelBuffers(g.n, threadSafe = false)
-      new scala.util.Random(seed).shuffle(labels).foreach { case (v, p, d) => store.add(v, p, d) }
+      store.appendRuns(blocks.map(_.result()), null, 0, g.n)
       val s = store.toLabeling(r)
       val out = (0 until g.n).flatMap(v =>
         (s.offsets(v) until s.offsets(v + 1)).map(k => (v, s.hubPos(k), s.hubDist(k))))

@@ -68,6 +68,16 @@ class LabelingSpec extends AnyFunSuite {
     assert(l.query(218, 219) == 1000L * 218 + 1000L * 219)
   }
 
+  test("toLabeling rejects a list whose hubs do not ascend") {
+    val descending = new LabelBuffers(4, threadSafe = false)
+    descending.add(0, 0, 0); descending.add(2, 1, 3); descending.add(2, 0, 5)
+    val e = intercept[IllegalArgumentException](descending.toLabeling(rank))
+    assert(e.getMessage.contains("vertex 2"), e.getMessage)
+    val repeated = new LabelBuffers(4, threadSafe = false)
+    repeated.add(1, 2, 1); repeated.add(1, 2, 1)
+    intercept[IllegalArgumentException](repeated.toLabeling(rank))
+  }
+
   /** Checks [[Labeling.ownerSlices]]`(q)` of `l` label by label: slice `i`
     * holds, per vertex, exactly `l`'s labels with `hubPos % q == i`, hubs
     * ascending and each with its distance; the counts sum to `labelCount`;
