@@ -1,6 +1,7 @@
 package repro.query
 
 import scala.util.Random
+import org.apache.spark.SparkContext
 import org.apache.spark.sql.SparkSession
 import repro.core.Labeling
 import repro.graph.Ranking
@@ -52,19 +53,19 @@ object QueryModes {
   def qlsn(spark: SparkSession, labeling: Labeling, q: Int,
            us: Array[Int], vs: Array[Int]): ModeMetrics = {
     require(q >= 1, s"node count q must be at least 1, got $q")
-    val sc  = spark.sparkContext
-    val bcL = sc.broadcast(labeling)
-    val t0  = System.nanoTime()
-    // one node answers the whole batch locally
-    val res = sc.parallelize(us.indices, 1)
-      .map { i => bcL.value.query(us(i), vs(i)) }
-      .collect()
+    val t0 = System.nanoTime()
+    // the batch emerges on the q nodes in q contiguous shares, and each node
+    // answers its own share locally
+    val bounds = Array.tabulate(q + 1)(k => (k.toLong * us.length / q).toInt)
+    val shares = Array.tabulate(q) { k =>
+      (java.util.Arrays.copyOfRange(us, bounds(k), bounds(k + 1)),
+       java.util.Arrays.copyOfRange(vs, bounds(k), bounds(k + 1)))
+    }
+    val res = Array.concat(answerOnNodes(spark.sparkContext, labeling, shares).toSeq: _*)
     val elapsed = (System.nanoTime() - t0) / 1e9
-    val perQueryMicros = measureMergeMicros(labeling, us, vs)
-    bcL.destroy()
     ModeMetrics("QLSN", res,
       throughputQps = us.length / elapsed,
-      latencyMicros = perQueryMicros, // no network hop
+      latencyMicros = measureMergeMicros(labeling, us, vs), // no network hop
       memBytesTotal = labeling.storageBytes * q,
       memBytesMaxNode = labeling.storageBytes)
   }
@@ -114,7 +115,6 @@ object QueryModes {
       // index of pair (p1,p2) among all ordered pairs p1 < p2
       p1 * z - p1 * (p1 + 1) / 2 + (p2 - p1 - 1)
     }
-    val bcL = sc.broadcast(labeling)
     val t0 = System.nanoTime()
     // queries are routed by a counting sort on their node (the paper's
     // footnote 9): node k's pairs are perm(start(k) until start(k + 1))
@@ -125,17 +125,13 @@ object QueryModes {
     val perm = new Array[Int](us.length)
     val next = start.clone()
     for (i <- us.indices) { perm(next(node(i))) = i; next(node(i)) += 1 }
-    // one task per node with queries, each answering its own with full
-    // label sets
-    val busy = (0 until nodes).filter(k => start(k) < start(k + 1))
-    val answers = sc.parallelize(busy, math.max(1, busy.length))
-      .map { k =>
-        val l = bcL.value
-        Array.tabulate(start(k + 1) - start(k)) { j => val i = perm(start(k) + j); l.query(us(i), vs(i)) }
-      }
-      .collect()
+    // node k answers its routed pairs with full label sets, and the driver
+    // scatters the answers back through perm
+    def routed(xs: Array[Int], k: Int) = Array.tabulate(start(k + 1) - start(k))(j => xs(perm(start(k) + j)))
+    val shares = Array.tabulate(nodes)(k => (routed(us, k), routed(vs, k)))
+    val answers = answerOnNodes(sc, labeling, shares)
     val res = new Array[Long](us.length)
-    for ((k, ds) <- busy.zip(answers); j <- ds.indices) res(perm(start(k) + j)) = ds(j)
+    for (k <- 0 until nodes; j <- answers(k).indices) res(perm(start(k) + j)) = answers(k)(j)
     val elapsed = (System.nanoTime() - t0) / 1e9
     val perQueryMicros = measureMergeMicros(labeling, us, vs)
     // per-node storage: full label sets of the node's two vertex parts
@@ -145,12 +141,32 @@ object QueryModes {
     }
     val nodePairs = for (p1 <- 0 until z; p2 <- (p1 + 1) until z) yield (p1, p2)
     val perNodeBytes = nodePairs.map { case (p1, p2) => partBytes(p1) + partBytes(p2) }
-    bcL.destroy()
     ModeMetrics("QDOL", res,
       throughputQps = us.length / elapsed,
       latencyMicros = perQueryMicros + P2pRtMicros,
       memBytesTotal = perNodeBytes.sum,
       memBytesMaxNode = perNodeBytes.max)
+  }
+
+  /** The job body QLSN and QDOL share: node `k` answers the pairs
+    * `shares(k)` over one broadcast of `l`. Share `k` is partition `k`'s
+    * data, so each node receives only its own pairs. Returns node `k`'s
+    * answers as element `k`, in its share's order.
+    */
+  private def answerOnNodes(sc: SparkContext, l: Labeling,
+                            shares: Array[(Array[Int], Array[Int])]): Array[Array[Long]] = {
+    val bcL = sc.broadcast(l)
+    val answers = sc.parallelize(shares.toSeq, shares.length)
+      .map { case (su, sv) =>
+        val lab = bcL.value
+        val out = new Array[Long](su.length)
+        var i = 0
+        while (i < su.length) { out(i) = lab.query(su(i), sv(i)); i += 1 }
+        out
+      }
+      .collect()
+    bcL.destroy()
+    answers
   }
 
   /** Measured single-thread merge time per query over `l` (µs), averaged

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.{Dijkstra, Ranking}
+import repro.graph.{Dijkstra, GraphGen, Ranking}
 import repro.TestUtil._
 
 class LabelingSpec extends AnyFunSuite {
@@ -139,6 +139,68 @@ class LabelingSpec extends AnyFunSuite {
 
   test("ownerSlices rejects a node count q below 1") {
     intercept[IllegalArgumentException](mk((0, 3, 5)).ownerSlices(0))
+  }
+
+  /** `l` written by an `ObjectOutputStream` and read back, with the number
+    * of bytes written.
+    */
+  private def throughWire(l: Labeling): (Labeling, Int) = {
+    val bytes = new java.io.ByteArrayOutputStream
+    val out = new java.io.ObjectOutputStream(bytes)
+    out.writeObject(l)
+    out.close()
+    val in = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+    (in.readObject().asInstanceOf[Labeling], bytes.size)
+  }
+
+  /** Checks that `l` comes back from the wire column for column, and
+    * returns what came back.
+    */
+  private def checkWire(l: Labeling, what: String): Labeling = {
+    val (back, _) = throughWire(l)
+    assert(back ne l, what)
+    assert(back.rank.rankOf.sameElements(l.rank.rankOf), what)
+    assert(back.offsets.sameElements(l.offsets), what)
+    assert(back.hubPos.sameElements(l.hubPos), what)
+    for (k <- 0 until l.labelCount.toInt) assert(back.hubDist(k) == l.hubDist(k), s"$what: label $k")
+    back
+  }
+
+  test("the wire form keeps vertices with no labels and distances of 0, 2^31 and 2^40") {
+    val r = identityRanking(6)
+    val l = fromTriples(r, Seq((0, 0, 0L), (0, 5, 1L << 31), (2, 4, 1L << 40), (2, 0, 0L),
+      (4, 5, (1L << 40) + 3), (4, 4, 0L), (4, 1, 1L << 31)))
+    assert((0 until 6).map(v => l.offsets(v + 1) - l.offsets(v)) == Seq(2, 0, 2, 0, 3, 0))
+    val back = checkWire(l, "mixed")
+    assert(l.query(2, 4) == (1L << 40) && l.query(0, 4) == (1L << 31) + (1L << 40) + 3)
+    for (u <- 0 until 6; v <- 0 until 6) assert(back.query(u, v) == l.query(u, v), s"query($u, $v)")
+  }
+
+  test("the wire form keeps runs that cross a distance page") {
+    val r = identityRanking(300)
+    val store = new LabelBuffers(300, threadSafe = false)
+    for (v <- 0 until 300; p <- 0 until 150) store.add(v, p, 1000L * v + p)
+    val l = store.toLabeling(r)
+    checkWire(l, "45,000 labels")
+  }
+
+  test("the wire form keeps every owner slice of SeqPLL labelings at q=7, and an empty labeling") {
+    for (seed <- 1 to 8) {
+      val (g, family) = graphFor(seed)
+      val l = SeqPLL.run(g, rankingFor(g, seed)).labeling
+      checkWire(l, s"$family seed $seed")
+      for ((s, i) <- l.ownerSlices(7).zipWithIndex) checkWire(s, s"$family seed $seed, slice $i of 7")
+    }
+    checkWire(fromTriples(rank, Nil), "no labels")
+    checkWire(fromTriples(identityRanking(0), Nil), "no vertices")
+  }
+
+  test("the wire form of the 60x60 grid's CHL takes under 5 B/label") {
+    val g = GraphGen.grid(60, 60, seed = 104)
+    val l = SeqPLL.run(g, Ranking.byApproxBetweenness(g, samples = 16, seed = 17)).labeling
+    val bytes = throughWire(l)._2
+    val perLabel = bytes.toDouble / l.labelCount
+    assert(perLabel < 5.0, f"$bytes B for ${l.labelCount} labels: $perLabel%.2f B/label")
   }
 
   test("query is symmetric") {

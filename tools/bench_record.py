@@ -1,0 +1,149 @@
+#!/usr/bin/env python3
+"""Records paired chlbench runs of a parent and a change checkout.
+
+    python3 tools/bench_record.py --workload road-build \\
+        --parent ../parent --change . --seeds 301-310 --seconds 30
+
+For each seed it runs `python3 chlbench/run.py --trace 0` once in the
+parent checkout and once in the change checkout, back to back, so that a
+pair shares the host's conditions; which side runs first alternates from
+pair to pair. Each checkout runs its own chlbench, built
+from its own sources. It then appends one record to BENCH_<workload>.json
+(in the current directory unless --out is given):
+
+  - per side: the commit the checkout stands on, whether its tracked files
+    differ from that commit, chlbench's hash of the sources it built, and
+    per end-to-end metric of BENCHMARK.json the
+    median, Q1 and Q3 over the runs;
+  - per pair: each side's metrics and its share of steal time, read from
+    /proc/stat around the run;
+  - per metric: the number of pairs the change wins, in the metric's
+    better direction;
+  - the host's core count.
+
+A run that fails (nonzero exit, no result line, or failed > 0) stops the
+recording with an error; nothing is appended.
+"""
+
+import argparse
+import datetime
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def parse_seeds(text):
+    """'301-310' or '5,7,9' -> list of ints."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += list(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def cpu_times():
+    """(steal, total) jiffies from the aggregate cpu line of /proc/stat."""
+    with open("/proc/stat") as f:
+        fields = [int(x) for x in f.readline().split()[1:]]
+    # user nice system idle iowait irq softirq steal [guest guest_nice]; guest
+    # time is already counted in user and nice
+    total = sum(fields[:8])
+    return fields[7], total
+
+
+def checkout_info(path):
+    def git(*args):
+        r = subprocess.run(["git", "-C", path, *args], capture_output=True, text=True)
+        return r.stdout.strip() if r.returncode == 0 else None
+    sha = git("rev-parse", "HEAD")
+    dirty = None if sha is None else bool(git("status", "--porcelain", "--untracked-files=no"))
+    # chlbench's hash of every source file its build read: it names the code
+    # that ran, also for a checkout whose tracked files differ from `sha`
+    stamp = os.path.join(path, ".bench_build", "chlbench", "stamp.txt")
+    with open(stamp) as f:
+        return {"sha": sha, "dirty": dirty, "source_stamp": f.read().strip()}
+
+
+def run_once(path, workload, seed, seconds):
+    """One untraced chlbench run in checkout `path`: (metrics, steal share)."""
+    s0, t0 = cpu_times()
+    r = subprocess.run([sys.executable, "chlbench/run.py", "--workload", workload, "--seed", str(seed),
+                        "--seconds", str(seconds), "--trace", "0"],
+                       cwd=path, capture_output=True, text=True)
+    s1, t1 = cpu_times()
+    lines = r.stdout.strip().splitlines()
+    if r.returncode != 0 or not lines:
+        sys.stderr.write(r.stderr[-4000:])
+        sys.exit(f"bench_record: run in {path} (seed {seed}) exited with {r.returncode}")
+    result = json.loads(lines[-1])
+    if result.get("failed") != 0:
+        sys.exit(f"bench_record: run in {path} (seed {seed}) failed its correctness gate: {result.get('failed')}")
+    metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    return metrics, (s1 - s0) / max(1, t1 - t0)
+
+
+def quartiles(xs):
+    if len(xs) < 2:
+        return {"median": xs[0], "q1": xs[0], "q3": xs[0]}
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--parent", required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", required=True, help="checkout of the change")
+    ap.add_argument("--seeds", required=True, help="e.g. 301-310 or 5,7,9")
+    ap.add_argument("--seconds", type=float, default=30)
+    ap.add_argument("--out", help="default: BENCH_<workload>.json")
+    args = ap.parse_args()
+
+    with open(os.path.join(args.change, "BENCHMARK.json")) as f:
+        end_to_end = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+    sides = {"parent": args.parent, "change": args.change}
+    pairs = []
+    for i, seed in enumerate(parse_seeds(args.seeds)):
+        pair = {"seed": seed, "first": "parent" if i % 2 == 0 else "change"}
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            path = sides[side]
+            metrics, steal = run_once(path, args.workload, seed, args.seconds)
+            pair[side] = {"metrics": {m: metrics[m] for m in end_to_end}, "steal_share": steal}
+            print(f"bench_record: seed {seed} {side}: " +
+                  ", ".join(f"{m} {metrics[m]:.4g}" for m in end_to_end) + f", steal {steal:.3f}",
+                  file=sys.stderr)
+        pairs.append(pair)
+
+    record = {
+        "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+        "workload": args.workload,
+        "seconds": args.seconds,
+        "cores": os.cpu_count(),
+        "pairs": pairs,
+        "wins": {},
+    }
+    for side, path in sides.items():
+        record[side] = checkout_info(path)
+        record[side]["metrics"] = {m: quartiles([p[side]["metrics"][m] for p in pairs]) for m in end_to_end}
+        record[side]["steal_share"] = quartiles([p[side]["steal_share"] for p in pairs])
+    for m, better in end_to_end.items():
+        sign = 1 if better == "higher" else -1
+        record["wins"][m] = sum(sign * (p["change"]["metrics"][m] - p["parent"]["metrics"][m]) > 0 for p in pairs)
+
+    out = args.out or f"BENCH_{args.workload}.json"
+    doc = {"workload": args.workload, "records": []}
+    if os.path.exists(out):
+        with open(out) as f:
+            doc = json.load(f)
+    doc["records"].append(record)
+    with open(out, "w") as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
+    print(f"bench_record: appended {len(pairs)} pairs to {out}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()
