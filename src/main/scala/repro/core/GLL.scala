@@ -136,8 +136,8 @@ object GLL {
       // hub of which outranks h. So no w ∈ global(h) ∩ global(v) gives
       // d ≤ δ, and as global and local have disjoint hub sets, every
       // witness lies in local(h) ∩ local(v). (For LCC global is empty.)
-      // Both tables are read-only until the commit, so the local table is
-      // read without its locks. SparaPLL cleans nothing and commits all.
+      // Both tables are read-only until the commit; of local, markRun locks
+      // only h's list, for its snapshot. SparaPLL cleans nothing and commits all.
       val ts = System.nanoTime()
       val marks       = if (paraPLL) null else blocks.map(bl => new Array[Boolean](bl.size))
       val cleanPos    = new AtomicInteger(if (paraPLL) b else a)

@@ -65,7 +65,4 @@ object Datasets {
   def byName(name: String): DatasetSpec =
     all.find(_.name == name).getOrElse(
       throw new NoSuchElementException(s"unknown dataset $name; known: ${all.map(_.name).mkString(", ")}"))
-
-  /** The subset used by the heavier distributed benches. */
-  val scalingSubset: Seq[String] = Seq("cal-lite", "skit-lite", "act-lite")
 }

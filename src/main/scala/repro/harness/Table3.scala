@@ -1,6 +1,7 @@
 package repro.harness
 
 import repro.core.{GLL, SeqPLL}
+import TableMain.failed
 
 /** Table 3 harness: shared-memory ALS + build-time comparison of
   * SparaPLL, seqPLL, LCC and GLL on every dataset. `CHL ALS` is the
@@ -18,28 +19,42 @@ object Table3 {
       gllTimeS: Double,
   )
 
-  def runOne(spec: DatasetSpec, scale: Double, threads: Int, alpha: Double = 4.0,
-             runSeq: Boolean = true): Row = {
-    val g    = spec.graph(scale)
-    val rank = spec.ranking(g)
-    val spara = GLL.runParaPLL(g, rank, threads)
-    val lcc   = GLL.runLCC(g, rank, threads)
-    val gll   = GLL.run(g, rank, threads, alpha)
-    val seqT  = if (runSeq) SeqPLL.run(g, rank).timeMs / 1000.0 else Double.NaN
-    Row(spec.name,
-      sparaAls = spara.labeling.als, sparaTimeS = spara.timeMs / 1000.0,
-      chlAls = gll.labeling.als,
-      seqTimeS = seqT,
-      lccTimeS = lcc.timeMs / 1000.0,
-      gllTimeS = gll.timeMs / 1000.0)
+  private val Threads = Runtime.getRuntime.availableProcessors()
+
+  def main(args: Array[String]): Unit = {
+    val scale = args.headOption.fold(1.0)(_.toDouble)
+    TableMain.report(s"Table 3 (scale=$scale threads=$Threads alpha=4)", run(scale))(format, check)
   }
 
-  def run(scale: Double, threads: Int, alpha: Double = 4.0,
-          names: Seq[String] = Datasets.all.map(_.name)): Seq[Row] =
-    names.map { n =>
-      val row = runOne(Datasets.byName(n), scale, threads, alpha)
-      Console.err.println(s"[table3] done ${row.dataset}")
-      row
+  def run(scale: Double): Seq[Row] =
+    Datasets.all.map { spec =>
+      val g    = spec.graph(scale)
+      val rank = spec.ranking(g)
+      val spara = GLL.runParaPLL(g, rank, Threads)
+      val lcc   = GLL.runLCC(g, rank, Threads)
+      val gll   = GLL.run(g, rank, Threads)
+      val seq   = SeqPLL.run(g, rank)
+      Console.err.println(s"[table3] done ${spec.name}")
+      Row(spec.name,
+        sparaAls = spara.labeling.als, sparaTimeS = spara.timeMs / 1000.0,
+        chlAls = gll.labeling.als,
+        seqTimeS = seq.timeMs / 1000.0,
+        lccTimeS = lcc.timeMs / 1000.0,
+        gllTimeS = gll.timeMs / 1000.0)
+    }
+
+  /** Table 3's paper-shape rules; one message per violation. */
+  def check(rows: Seq[Row]): Seq[String] =
+    rows.flatMap { r =>
+      failed((r.chlAls > 0) -> s"${r.dataset}: CHL ALS ${r.chlAls} is not positive",
+        // minimality of the CHL vs paraPLL's redundant labeling (ALS column);
+        // 2% slack for scheduling nondeterminism in the racing trees
+        (r.sparaAls >= 0.98 * r.chlAls) -> s"${r.dataset}: SparaPLL ALS ${r.sparaAls} below CHL ${r.chlAls}",
+        (r.gllTimeS > 0 && r.lccTimeS > 0 && r.sparaTimeS > 0) -> s"${r.dataset}: a build time is not positive",
+        // the paper's headline: parallel construction beats sequential PLL on
+        // the heavy datasets (usa/ctr/pok are the slowest for seqPLL)
+        (!Set("ctr-lite", "usa-lite", "pok-lite")(r.dataset) || r.seqTimeS > r.gllTimeS) ->
+          s"${r.dataset}: seqPLL ${r.seqTimeS}s not slower than GLL ${r.gllTimeS}s")
     }
 
   def format(rows: Seq[Row]): String = {

@@ -3,6 +3,7 @@ package repro.harness
 import org.apache.spark.sql.SparkSession
 import repro.core.GLL
 import repro.query.QueryModes
+import TableMain.failed
 
 /** Table 4 harness: query throughput / latency / label-storage memory for
   * QLSN, QFDL and QDOL on a 16-node simulated cluster, over the CHL of
@@ -17,27 +18,45 @@ object Table4 {
       qdol: QueryModes.ModeMetrics,
   )
 
-  def runOne(spark: SparkSession, spec: DatasetSpec, scale: Double, q: Int,
-             batch: Int, threads: Int): Row = {
-    val g    = spec.graph(scale)
-    val rank = spec.ranking(g)
-    val labeling = GLL.run(g, rank, threads).labeling
-    val (us, vs) = QueryModes.genQueries(g.n, batch, seed = 42)
-    val qlsn = QueryModes.qlsn(spark, labeling, q, us, vs)
-    val qfdl = QueryModes.qfdl(spark, labeling, rank, q, us, vs)
-    val qdol = QueryModes.qdol(spark, labeling, q, us, vs)
-    require(qlsn.distances.sameElements(qfdl.distances) && qlsn.distances.sameElements(qdol.distances),
-      s"query modes disagree on ${spec.name}")
-    Row(spec.name, qlsn, qfdl, qdol)
+  val Q = 16
+  private val Batch = 200000
+
+  def main(args: Array[String]): Unit = {
+    val scale = args.headOption.fold(1.0)(_.toDouble)
+    TableMain.report(s"Table 4 (scale=$scale q=$Q batch=$Batch)",
+      TableMain.withSpark("table4")(run(_, scale)))(format, check)
   }
 
-  def run(spark: SparkSession, scale: Double, q: Int, batch: Int, threads: Int,
-          names: Seq[String] = Datasets.all.map(_.name)): Seq[Row] =
-    names.map { n =>
-      val row = runOne(spark, Datasets.byName(n), scale, q, batch, threads)
-      Console.err.println(s"[table4] done $n")
-      row
+  def run(spark: SparkSession, scale: Double): Seq[Row] =
+    Datasets.all.map { spec =>
+      val g    = spec.graph(scale)
+      val rank = spec.ranking(g)
+      val labeling = GLL.run(g, rank, Runtime.getRuntime.availableProcessors()).labeling
+      val (us, vs) = QueryModes.genQueries(g.n, Batch, seed = 42)
+      val qlsn = QueryModes.qlsn(spark, labeling, Q, us, vs)
+      val qfdl = QueryModes.qfdl(spark, labeling, rank, Q, us, vs)
+      val qdol = QueryModes.qdol(spark, labeling, Q, us, vs)
+      require(qlsn.distances.sameElements(qfdl.distances) && qlsn.distances.sameElements(qdol.distances),
+        s"query modes disagree on ${spec.name}")
+      Console.err.println(s"[table4] done ${spec.name}")
+      Row(spec.name, qlsn, qfdl, qdol)
     }
+
+  /** Table 4's paper-shape rules; one message per violation. */
+  def check(rows: Seq[Row]): Seq[String] = {
+    val z = QueryModes.zeta(Q)
+    failed((z * (z - 1) / 2 <= Q) -> s"QDOL's $z parts make more pairs than q = $Q nodes") ++ rows.flatMap { r =>
+      // memory model: QLSN = q * QFDL; QFDL < QDOL < QLSN
+      failed((r.qlsn.memBytesTotal == Q.toLong * r.qfdl.memBytesTotal) -> s"${r.dataset}: QLSN memory is not q x QFDL's",
+        (r.qdol.memBytesTotal > r.qfdl.memBytesTotal) -> s"${r.dataset}: QDOL memory not above QFDL's",
+        (r.qdol.memBytesTotal < r.qlsn.memBytesTotal) -> s"${r.dataset}: QDOL memory not below QLSN's",
+        // latency model: QLSN (no network) < QDOL (P2P) < QFDL (broadcast)
+        // unless per-query compute is large enough for QFDL's 1/q split to win
+        (r.qlsn.latencyMicros < r.qdol.latencyMicros) -> s"${r.dataset}: QLSN latency not below QDOL's",
+        (r.qdol.throughputQps > 0 && r.qfdl.throughputQps > 0 && r.qlsn.throughputQps > 0) ->
+          s"${r.dataset}: a throughput is not positive")
+    }
+  }
 
   def format(rows: Seq[Row]): String = {
     val sb = new StringBuilder

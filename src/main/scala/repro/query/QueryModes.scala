@@ -52,7 +52,7 @@ object QueryModes {
   // ---------------------------------------------------------------- QLSN
   def qlsn(spark: SparkSession, labeling: Labeling, q: Int,
            us: Array[Int], vs: Array[Int]): ModeMetrics = {
-    require(q >= 1, s"node count q must be at least 1, got $q")
+    requireBatch(labeling, q, us, vs)
     val t0 = System.nanoTime()
     // the batch emerges on the q nodes in q contiguous shares, and each node
     // answers its own share locally
@@ -76,7 +76,7 @@ object QueryModes {
     */
   def qfdl(spark: SparkSession, labeling: Labeling, rank: Ranking, q: Int,
            us: Array[Int], vs: Array[Int]): ModeMetrics = {
-    require(q >= 1, s"node count q must be at least 1, got $q")
+    requireBatch(labeling, q, us, vs)
     val sc = spark.sparkContext
     val t0 = System.nanoTime()
     // node i receives only its owner slice, as its partition's data, and
@@ -103,7 +103,7 @@ object QueryModes {
   // ---------------------------------------------------------------- QDOL
   def qdol(spark: SparkSession, labeling: Labeling, q: Int,
            us: Array[Int], vs: Array[Int]): ModeMetrics = {
-    require(q >= 1, s"node count q must be at least 1, got $q")
+    requireBatch(labeling, q, us, vs)
     val sc = spark.sparkContext
     val z  = zeta(q)
     val nodes = z * (z - 1) / 2
@@ -146,6 +146,15 @@ object QueryModes {
       latencyMicros = perQueryMicros + P2pRtMicros,
       memBytesTotal = perNodeBytes.sum,
       memBytesMaxNode = perNodeBytes.max)
+  }
+
+  /** The checks every mode makes before its clock starts. */
+  private def requireBatch(l: Labeling, q: Int, us: Array[Int], vs: Array[Int]): Unit = {
+    require(q >= 1, s"node count q must be at least 1, got $q")
+    require(us.nonEmpty && us.length == vs.length, s"query batch needs as many v as u, at least one: ${us.length} u, ${vs.length} v")
+    var i = 0
+    while (i < us.length && us(i) >= 0 && us(i) < l.n && vs(i) >= 0 && vs(i) < l.n) i += 1
+    require(i == us.length, s"query $i, (${us(i)}, ${vs(i)}), has a vertex outside [0, ${l.n})")
   }
 
   /** The job body QLSN and QDOL share: node `k` answers the pairs

@@ -55,5 +55,6 @@ class DatasetsSpec extends AnyFunSuite {
     assert(rows.size == 12)
     rows.foreach(r => assert(r.n > 0 && r.m > 0 && r.paperN > 0))
     assert(Table2.format(rows).linesIterator.size == 13)
+    assert(Table2.check(rows).isEmpty, Table2.check(rows))
   }
 }

@@ -73,10 +73,15 @@ class QueryModesSpec extends SparkSpec {
   test("every query mode rejects a node count q below 1") {
     val (_, r, l) = fixture(2)
     val (us, vs)  = QueryModes.genQueries(l.n, 20, 2)
-    for (q <- Seq(0, -1)) {
-      intercept[IllegalArgumentException](QueryModes.qlsn(spark, l, q, us, vs))
-      intercept[IllegalArgumentException](QueryModes.qfdl(spark, l, r, q, us, vs))
-      intercept[IllegalArgumentException](QueryModes.qdol(spark, l, q, us, vs))
+    // and every malformed batch: lengths that differ by one, a vertex -1 or
+    // n, and no query at all
+    val none = Array.empty[Int]
+    val bad = Seq((0, us, vs), (-1, us, vs), (16, us, vs.init), (16, us.init, vs),
+      (16, us.updated(3, -1), vs), (16, us, vs.updated(19, l.n)), (16, none, none))
+    for ((q, bu, bv) <- bad) {
+      intercept[IllegalArgumentException](QueryModes.qlsn(spark, l, q, bu, bv))
+      intercept[IllegalArgumentException](QueryModes.qfdl(spark, l, r, q, bu, bv))
+      intercept[IllegalArgumentException](QueryModes.qdol(spark, l, q, bu, bv))
     }
   }
 

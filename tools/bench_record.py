@@ -12,9 +12,9 @@ from its own sources. It then appends one record to BENCH_<workload>.json
 (in the current directory unless --out is given):
 
   - per side: the commit the checkout stands on, whether its tracked files
-    differ from that commit, chlbench's hash of the sources it built, and
-    per end-to-end metric of BENCHMARK.json the
-    median, Q1 and Q3 over the runs;
+    differ from that commit, chlbench's hash of the sources it built, the
+    JVM flags its chlbench/run.py starts the benchmark with, and per
+    end-to-end metric of BENCHMARK.json the median, Q1 and Q3 over the runs;
   - per pair: each side's metrics and its share of steal time, read from
     /proc/stat around the run;
   - per metric: the number of pairs the change wins, in the metric's
@@ -27,6 +27,7 @@ recording with an error; nothing is appended.
 
 import argparse
 import datetime
+import importlib.util
 import json
 import os
 import statistics
@@ -63,7 +64,17 @@ def checkout_info(path):
     # that ran, also for a checkout whose tracked files differ from `sha`
     stamp = os.path.join(path, ".bench_build", "chlbench", "stamp.txt")
     with open(stamp) as f:
-        return {"sha": sha, "dirty": dirty, "source_stamp": f.read().strip()}
+        source_stamp = f.read().strip()
+    return {"sha": sha, "dirty": dirty, "source_stamp": source_stamp, "jvm_opts": jvm_opts(path)}
+
+
+def jvm_opts(path):
+    """JVM_OPTS of the checkout's own chlbench/run.py, whose main() is guarded."""
+    sys.dont_write_bytecode = True  # leave no __pycache__ in the checkout's chlbench/
+    spec = importlib.util.spec_from_file_location("chlbench_run", os.path.join(path, "chlbench", "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return list(module.JVM_OPTS)
 
 
 def run_once(path, workload, seed, seconds):
