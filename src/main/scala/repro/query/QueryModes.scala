@@ -2,6 +2,7 @@ package repro.query
 
 import scala.util.Random
 import org.apache.spark.SparkContext
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
 import repro.core.Labeling
 import repro.graph.Ranking
@@ -18,6 +19,11 @@ import repro.graph.Ranking
   *  - QDOL: the vertex set is cut into ζ parts with ζ(ζ-1)/2 ≤ q; a node
   *    stores the full labels of one part-pair and answers its queries
   *    entirely, via point-to-point messages.
+  *
+  * The labels stay resident on the nodes between calls, as on the paper's
+  * nodes: the first call on a labeling loads them (see [[Resident]]), and a
+  * later call ships only its batch. Every mode's clock starts before the
+  * load, so a loading call counts it.
   */
 object QueryModes {
 
@@ -53,6 +59,7 @@ object QueryModes {
   def qlsn(spark: SparkSession, labeling: Labeling, q: Int,
            us: Array[Int], vs: Array[Int]): ModeMetrics = {
     requireBatch(labeling, q, us, vs)
+    val sc = spark.sparkContext
     val t0 = System.nanoTime()
     // the batch emerges on the q nodes in q contiguous shares, and each node
     // answers its own share locally
@@ -61,7 +68,7 @@ object QueryModes {
       (java.util.Arrays.copyOfRange(us, bounds(k), bounds(k + 1)),
        java.util.Arrays.copyOfRange(vs, bounds(k), bounds(k + 1)))
     }
-    val res = Array.concat(answerOnNodes(spark.sparkContext, labeling, shares).toSeq: _*)
+    val res = Array.concat(answerOnNodes(sc, resident(sc, labeling).whole, shares).toSeq: _*)
     val elapsed = (System.nanoTime() - t0) / 1e9
     ModeMetrics("QLSN", res,
       throughputQps = us.length / elapsed,
@@ -79,25 +86,25 @@ object QueryModes {
     requireBatch(labeling, q, us, vs)
     val sc = spark.sparkContext
     val t0 = System.nanoTime()
-    // node i receives only its owner slice, as its partition's data, and
-    // answers the whole batch over it; the partial minima are MIN-reduced
-    // on the driver (the paper's MPI_MIN allreduce)
-    val slices = labeling.ownerSlices(q)
-    val res = sc.parallelize(slices.toSeq, q)
-      .map(l => Array.tabulate(us.length)(i => l.query(us(i), vs(i))))
+    // node k answers the whole batch, shipped once in the job's closure,
+    // over its resident owner slice; the partial minima are MIN-reduced on
+    // the driver (the paper's MPI_MIN allreduce)
+    val sliced = resident(sc, labeling).slices(q)
+    val nodes = sliced.nodes
+    val res = sc.parallelize(0 until q, q)
+      .map(k => answer(nodes.value(k), us, vs))
       .reduce { (x, y) =>
         var i = 0
         while (i < x.length) { x(i) = math.min(x(i), y(i)); i += 1 }
         x
       }
     val elapsed = (System.nanoTime() - t0) / 1e9
-    val largest = slices.maxBy(_.storageBytes)
     ModeMetrics("QFDL", res,
       throughputQps = us.length / elapsed,
       // the largest slice's merge, plus a broadcast+reduce round
-      latencyMicros = measureMergeMicros(largest, us, vs) + BroadcastRtMicros,
-      memBytesTotal = slices.map(_.storageBytes).sum,
-      memBytesMaxNode = largest.storageBytes)
+      latencyMicros = measureMergeMicros(sliced.largest, us, vs) + BroadcastRtMicros,
+      memBytesTotal = sliced.bytesTotal,
+      memBytesMaxNode = sliced.largest.storageBytes)
   }
 
   // ---------------------------------------------------------------- QDOL
@@ -129,7 +136,7 @@ object QueryModes {
     // scatters the answers back through perm
     def routed(xs: Array[Int], k: Int) = Array.tabulate(start(k + 1) - start(k))(j => xs(perm(start(k) + j)))
     val shares = Array.tabulate(nodes)(k => (routed(us, k), routed(vs, k)))
-    val answers = answerOnNodes(sc, labeling, shares)
+    val answers = answerOnNodes(sc, resident(sc, labeling).whole, shares)
     val res = new Array[Long](us.length)
     for (k <- 0 until nodes; j <- answers(k).indices) res(perm(start(k) + j)) = answers(k)(j)
     val elapsed = (System.nanoTime() - t0) / 1e9
@@ -157,25 +164,68 @@ object QueryModes {
     require(i == us.length, s"query $i, (${us(i)}, ${vs(i)}), has a vertex outside [0, ${l.n})")
   }
 
-  /** The job body QLSN and QDOL share: node `k` answers the pairs
-    * `shares(k)` over one broadcast of `l`. Share `k` is partition `k`'s
-    * data, so each node receives only its own pairs. Returns node `k`'s
-    * answers as element `k`, in its share's order.
+  /** QLSN's and QDOL's job: node `k` answers the pairs `shares(k)` over
+    * the resident labeling `whole`. Share `k` is partition `k`'s data, so
+    * each node receives only its own pairs. Returns node `k`'s answers as
+    * element `k`, in its share's order.
     */
-  private def answerOnNodes(sc: SparkContext, l: Labeling,
-                            shares: Array[(Array[Int], Array[Int])]): Array[Array[Long]] = {
-    val bcL = sc.broadcast(l)
-    val answers = sc.parallelize(shares.toSeq, shares.length)
-      .map { case (su, sv) =>
-        val lab = bcL.value
-        val out = new Array[Long](su.length)
-        var i = 0
-        while (i < su.length) { out(i) = lab.query(su(i), sv(i)); i += 1 }
-        out
-      }
+  private def answerOnNodes(sc: SparkContext, whole: Broadcast[Labeling],
+                            shares: Array[(Array[Int], Array[Int])]): Array[Array[Long]] =
+    sc.parallelize(shares.toSeq, shares.length)
+      .map { case (su, sv) => answer(whole.value, su, sv) }
       .collect()
-    bcL.destroy()
-    answers
+
+  /** The job body of every mode: node `k`'s answers to its pairs
+    * `(us(i), vs(i))` over its labels `l` (the whole labeling for QLSN and
+    * QDOL, owner slice `k` for QFDL), in order.
+    */
+  private def answer(l: Labeling, us: Array[Int], vs: Array[Int]): Array[Long] = {
+    val out = new Array[Long](us.length)
+    var i = 0
+    while (i < us.length) { out(i) = l.query(us(i), vs(i)); i += 1 }
+    out
+  }
+
+  /** The labels resident on the simulated nodes: those of `labeling`, for
+    * the live context `sc`. [[whole]] is the one broadcast QLSN and QDOL
+    * read; [[slices]] adds QFDL's owner slices at the first call at a `q`.
+    * Each is built and shipped once, on first use.
+    */
+  private final class Resident(val sc: SparkContext, val labeling: Labeling) {
+    lazy val whole: Broadcast[Labeling] = sc.broadcast(labeling)
+
+    private var sliced: Sliced = _
+
+    /** QFDL's slices at `q`; those of another `q` are dropped. */
+    def slices(q: Int): Sliced = synchronized {
+      if (sliced == null || sliced.q != q) sliced = new Sliced(sc, labeling.ownerSlices(q))
+      sliced
+    }
+  }
+
+  /** A labeling's `q` owner slices, shipped to the nodes in one broadcast
+    * (so the ranking they share crosses once); node `k` reads only slice
+    * `k`. The driver keeps what the modelled metrics read.
+    */
+  private final class Sliced(sc: SparkContext, all: Array[Labeling]) {
+    val q: Int = all.length
+    val nodes: Broadcast[Array[Labeling]] = sc.broadcast(all)
+    val largest: Labeling = all.maxBy(_.storageBytes)
+    val bytesTotal: Long = all.map(_.storageBytes).sum
+  }
+
+  /** The one resident store: one labeling at a time, on one context. */
+  private var store: Resident = _
+
+  /** The resident labels of `l` on `sc`, loaded anew when the store holds
+    * another labeling (compared by reference: a `Labeling` is immutable) or
+    * another or stopped context. The replaced broadcasts are not destroyed,
+    * since a job on another thread may still read them; once unreferenced,
+    * Spark's `ContextCleaner` removes them.
+    */
+  private def resident(sc: SparkContext, l: Labeling): Resident = synchronized {
+    if (store == null || (store.sc ne sc) || sc.isStopped || (store.labeling ne l)) store = new Resident(sc, l)
+    store
   }
 
   /** Measured single-thread merge time per query over `l` (µs), averaged

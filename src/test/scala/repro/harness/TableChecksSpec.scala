@@ -45,7 +45,7 @@ class TableChecksSpec extends AnyFunSuite {
     def mode(name: String, latency: Double, mem: Long) =
       QueryModes.ModeMetrics(name, Array.empty[Long], 1e5, latency, mem, mem)
     val ok = Table4.Row("cal-lite", mode("QLSN", 1.0, Table4.Q * 1000L), mode("QFDL", 20.3, 1000L),
-      mode("QDOL", 7.0, 5300L))
+      mode("QDOL", 7.0, 5300L), Table4.FirstCallMs(80.0, 60.0, 40.0))
     // the rule that QDOL's part pairs fit q nodes reads the constant q, not
     // the rows, so no row set breaks it
     assert(Table4.check(Seq(ok)).isEmpty, Table4.check(Seq(ok)))

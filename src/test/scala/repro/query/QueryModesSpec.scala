@@ -3,8 +3,8 @@ package repro.query
 import scala.jdk.CollectionConverters._
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import repro.{SparkSpec, TestUtil}
-import repro.core.GLL
-import repro.graph.{Dijkstra, TestGraphs}
+import repro.core.{GLL, Labeling}
+import repro.graph.{Dijkstra, Ranking, TestGraphs}
 import repro.TestUtil._
 
 class QueryModesSpec extends SparkSpec {
@@ -135,27 +135,88 @@ class QueryModesSpec extends SparkSpec {
   }
   private object TaggedJobs { val Tag = "repro.test.tag" }
 
-  test("one QLSN call runs one Spark job of q tasks, one per node") {
-    val (_, _, l) = fixture(4)
+  /** The Spark jobs `body` submits, and the tasks of their stages. */
+  private def jobsOf(tag: String)(body: => Unit): TaggedJobs = {
     val sc = spark.sparkContext
+    val jobs = new TaggedJobs(tag)
+    sc.addSparkListener(jobs)
+    try {
+      sc.setLocalProperty(TaggedJobs.Tag, tag)
+      body
+      // the bus delivers in order: once a later job's start is seen, so
+      // is every event of the body's jobs
+      sc.setLocalProperty(TaggedJobs.Tag, s"$tag-drain")
+      sc.parallelize(Seq(0), 1).count()
+      val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
+      while (!jobs.drained && System.nanoTime() < deadline) Thread.sleep(5)
+      assert(jobs.drained, "listener bus did not drain within 30 s")
+    } finally { sc.setLocalProperty(TaggedJobs.Tag, null); sc.removeSparkListener(jobs) }
+    jobs
+  }
+
+  test("one QLSN call runs one Spark job of q tasks, one per node") {
+    val (_, r, l) = fixture(4)
     for (q <- Seq(3, 16)) {
       val (us, vs) = QueryModes.genQueries(l.n, 200, q)
-      val jobs = new TaggedJobs(s"qlsn-q$q")
-      sc.addSparkListener(jobs)
-      try {
-        sc.setLocalProperty(TaggedJobs.Tag, s"qlsn-q$q")
-        QueryModes.qlsn(spark, l, q, us, vs)
-        // the bus delivers in order: once a later job's start is seen, so
-        // is every event of the QLSN call
-        sc.setLocalProperty(TaggedJobs.Tag, s"qlsn-q$q-drain")
-        sc.parallelize(Seq(0), 1).count()
-        val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
-        while (!jobs.drained && System.nanoTime() < deadline) Thread.sleep(5)
-        assert(jobs.drained, "listener bus did not drain within 30 s")
-      } finally { sc.setLocalProperty(TaggedJobs.Tag, null); sc.removeSparkListener(jobs) }
-      assert(jobs.jobStages.size == 1, s"q=$q: jobs ${jobs.jobStages}")
-      assert(jobs.tasks.get == q, s"q=$q")
+      def oneJobOfQTasks(name: String)(call: => Unit): Unit = {
+        val jobs = jobsOf(s"$name-q$q")(call)
+        assert(jobs.jobStages.size == 1, s"$name q=$q: jobs ${jobs.jobStages}")
+        assert(jobs.tasks.get == q, s"$name q=$q")
+      }
+      // the loading call, a resident call on the same labeling, and a QFDL
+      // call that loads its slices
+      oneJobOfQTasks("qlsn")(QueryModes.qlsn(spark, l, q, us, vs))
+      oneJobOfQTasks("qlsn-again")(QueryModes.qlsn(spark, l, q, us, vs))
+      oneJobOfQTasks("qfdl")(QueryModes.qfdl(spark, l, r, q, us, vs))
     }
+  }
+
+  /** Every mode's answers to 300 pairs drawn with `seed`, over `l` at `q`,
+    * each checked against `Labeling.query`, and QFDL's largest node against
+    * the largest slice at `q`; returns QLSN's answers.
+    */
+  private def servedRight(l: Labeling, r: Ranking, q: Int, seed: Long): Array[Long] = {
+    val (us, vs) = QueryModes.genQueries(l.n, 300, seed)
+    val expect = us.indices.map(i => l.query(us(i), vs(i)))
+    val qlsn = QueryModes.qlsn(spark, l, q, us, vs)
+    assert(qlsn.distances.toSeq == expect, s"QLSN q=$q")
+    val qfdl = QueryModes.qfdl(spark, l, r, q, us, vs)
+    assert(qfdl.distances.toSeq == expect, s"QFDL q=$q")
+    assert(qfdl.memBytesMaxNode == l.ownerSlices(q).map(_.storageBytes).max, s"QFDL q=$q largest slice")
+    assert(QueryModes.qdol(spark, l, q, us, vs).distances.toSeq == expect, s"QDOL q=$q")
+    qlsn.distances
+  }
+
+  test("the resident labels follow the labeling: A, B, A of the same n through all three modes") {
+    // two graphs on the same vertex count whose distances differ, so
+    // serving one labeling's resident labels for the other shows
+    def labeled(seed: Long) = {
+      val g = TestGraphs.randomConnected(60, 40, 9, seed)
+      val r = randomRanking(g.n, seed)
+      (g, r, GLL.run(g, r, 4).labeling)
+    }
+    val (ga, ra, la) = labeled(21)
+    val (gb, rb, lb) = labeled(22)
+    assert(la.n == lb.n)
+    val (us, vs) = QueryModes.genQueries(la.n, 300, 5)
+    val (da, db) = (allPairs(ga), allPairs(gb))
+    assert(us.indices.exists(i => da(us(i))(vs(i)) != db(us(i))(vs(i))), "fixture graphs should differ on some pair")
+    for ((name, r, l, d) <- Seq(("A", ra, la, da), ("B", rb, lb, db), ("A", ra, la, da))) {
+      val want = us.indices.map(i => d(us(i))(vs(i)))
+      assert(QueryModes.qlsn(spark, l, 16, us, vs).distances.toSeq == want, s"QLSN on $name")
+      assert(QueryModes.qfdl(spark, l, r, 16, us, vs).distances.toSeq == want, s"QFDL on $name")
+      assert(QueryModes.qdol(spark, l, 16, us, vs).distances.toSeq == want, s"QDOL on $name")
+    }
+  }
+
+  test("QFDL's resident slices follow q: q = 3, then 16, then 3 on one labeling") {
+    val (_, r, l) = fixture(6)
+    for ((q, i) <- Seq(3, 16, 3).zipWithIndex) servedRight(l, r, q, seed = 30 + i)
+  }
+
+  test("QLSN, QFDL, QDOL in Table 4's order, twice, on one labeling equal Labeling.query") {
+    val (_, r, l) = fixture(7)
+    assert(servedRight(l, r, 16, seed = 40).sameElements(servedRight(l, r, 16, seed = 40)))
   }
 
   test("QFDL's largest node holds the largest owner slice, less than all labels, at q=16") {
