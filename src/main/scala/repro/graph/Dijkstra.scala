@@ -1,7 +1,8 @@
 package repro.graph
 
 /** Reference shortest paths — the independent distance oracle used by
-  * tests and by the approximate-betweenness ranking.
+  * tests. The approximate-betweenness ranking runs its own Brandes passes
+  * and shares only [[Inf]] and [[LongMinHeap]].
   */
 object Dijkstra {
 

@@ -15,7 +15,6 @@ final case class DatasetSpec(
     name: String,
     paperName: String,
     kind: String, // "road" | "scale-free"
-    directedInPaper: Boolean,
     paperN: Long,
     paperM: Long,
     gen: Double => CsrGraph,
@@ -31,15 +30,15 @@ object Datasets {
 
   private def gridSpec(name: String, paperName: String, paperN: Long, paperM: Long,
                        side: Int, seed: Long) =
-    DatasetSpec(name, paperName, "road", directedInPaper = false, paperN, paperM,
+    DatasetSpec(name, paperName, "road", paperN, paperM,
       scale => {
         val s = math.max(4, math.round(side * math.sqrt(scale)).toInt)
         GraphGen.grid(s, s, seed)
       })
 
-  private def baSpec(name: String, paperName: String, directed: Boolean,
-                     paperN: Long, paperM: Long, n: Int, attach: Int, seed: Long) =
-    DatasetSpec(name, paperName, "scale-free", directed, paperN, paperM,
+  private def baSpec(name: String, paperName: String, paperN: Long, paperM: Long,
+                     n: Int, attach: Int, seed: Long) =
+    DatasetSpec(name, paperName, "scale-free", paperN, paperM,
       scale => {
         val nn = math.max(attach + 2, math.round(n * scale).toInt)
         GraphGen.preferentialAttachment(nn, attach, seed)
@@ -51,15 +50,15 @@ object Datasets {
     gridSpec("eas-lite", "EAS", 3598623L, 8778114L, side = 78, seed = 102),
     gridSpec("ctr-lite", "CTR", 14081816L, 34292496L, side = 108, seed = 103),
     gridSpec("usa-lite", "USA", 23947347L, 58333344L, side = 132, seed = 104),
-    baSpec("skit-lite", "SKIT", directed = false, 192244L, 636643L, n = 3000, attach = 3, seed = 105),
-    baSpec("wnd-lite", "WND", directed = true, 325729L, 1497134L, n = 3200, attach = 2, seed = 106),
-    baSpec("aut-lite", "AUT", directed = false, 227320L, 814134L, n = 2200, attach = 4, seed = 107),
-    baSpec("ytb-lite", "YTB", directed = false, 1134890L, 2987624L, n = 5000, attach = 3, seed = 108),
-    baSpec("act-lite", "ACT", directed = false, 382219L, 33115812L, n = 1500, attach = 20, seed = 109),
-    baSpec("bdu-lite", "BDU", directed = true, 2141300L, 17794839L, n = 4000, attach = 8, seed = 110),
-    DatasetSpec("pok-lite", "POK", "scale-free", directedInPaper = true, 1632803L, 30622564L,
+    baSpec("skit-lite", "SKIT", 192244L, 636643L, n = 3000, attach = 3, seed = 105),
+    baSpec("wnd-lite", "WND", 325729L, 1497134L, n = 3200, attach = 2, seed = 106),
+    baSpec("aut-lite", "AUT", 227320L, 814134L, n = 2200, attach = 4, seed = 107),
+    baSpec("ytb-lite", "YTB", 1134890L, 2987624L, n = 5000, attach = 3, seed = 108),
+    baSpec("act-lite", "ACT", 382219L, 33115812L, n = 1500, attach = 20, seed = 109),
+    baSpec("bdu-lite", "BDU", 2141300L, 17794839L, n = 4000, attach = 8, seed = 110),
+    DatasetSpec("pok-lite", "POK", "scale-free", 1632803L, 30622564L,
       scale => GraphGen.erdosRenyi(math.max(32, math.round(3000 * scale).toInt), avgDeg = 20, seed = 111)),
-    baSpec("lij-lite", "LIJ", directed = true, 4847571L, 68993773L, n = 6000, attach = 10, seed = 112),
+    baSpec("lij-lite", "LIJ", 4847571L, 68993773L, n = 6000, attach = 10, seed = 112),
   )
 
   def byName(name: String): DatasetSpec =

@@ -29,9 +29,8 @@ class DistDifferentialSpec extends SparkSpec {
       TestUtil.assertSameLabels(chl, dl, s"DGLL q=$q")
     }
 
-  // Random cases: a 100–300-vertex graph and ranking, q, Ψ_th, η, β and
-  // Hybrid's batch size are drawn from the case's seed, which the test name
-  // records. The batch size is drawn last, so that it shifts no other draw.
+  // Random cases: a 100–300-vertex graph and ranking, q, Ψ_th, η and β are
+  // drawn from the case's seed, which the test name records.
   for (seed <- 1 to 8) {
     val rnd  = new scala.util.Random(seed)
     val n    = 100 + rnd.nextInt(201)
@@ -46,7 +45,6 @@ class DistDifferentialSpec extends SparkSpec {
     val eta   = rnd.nextInt(33)
     val beta  = 2 + rnd.nextInt(15)
     val rankBy = rnd.nextInt(3)
-    val batchSize = 1 + rnd.nextInt(math.max(1, g.n / 4))
     test(s"PLaNT, Hybrid and DGLL equal SeqPLL on drawn case $seed: n=${g.n}, q=$q, eta=$eta, beta=$beta") {
       val r = rankBy match {
         case 0 => Ranking.byDegree(g)
@@ -55,8 +53,7 @@ class DistDifferentialSpec extends SparkSpec {
       }
       val chl = SeqPLL.run(g, r).labeling
       TestUtil.assertSameLabels(chl, Plant.run(spark, g, r, q)._1, "PLaNT")
-      TestUtil.assertSameLabels(chl, Hybrid.run(spark, g, r, q, psiTh, eta, batchSize)._1,
-        s"Hybrid psiTh=$psiTh batchSize=$batchSize")
+      TestUtil.assertSameLabels(chl, Hybrid.run(spark, g, r, q, psiTh, eta)._1, s"Hybrid psiTh=$psiTh")
       TestUtil.assertSameLabels(chl, DGLL.run(spark, g, r, q, beta)._1, "DGLL")
     }
   }

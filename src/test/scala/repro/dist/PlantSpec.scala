@@ -110,7 +110,10 @@ class PlantSpec extends SparkSpec {
   test("batched planting matches single-batch planting") {
     val g = GraphGen.preferentialAttachment(70, 3, seed = 45)
     val r = Ranking.byDegree(g)
-    val (a, _) = Hybrid.run(spark, g, r, q = 3, psiTh = Double.PositiveInfinity, eta = 0, batchSize = 7)
+    // a finite psiTh is read after every batch, so the run plants in
+    // batches of 12 (4q) and, never exceeding it, does not switch
+    val (a, as) = Hybrid.run(spark, g, r, q = 3, psiTh = Double.MaxValue, eta = 0)
+    assert(as.switchPos == -1)
     val (b, _) = Plant.run(spark, g, r, q = 3)
     assert(a.tripleSet == b.tripleSet)
   }

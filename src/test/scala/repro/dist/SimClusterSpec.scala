@@ -1,7 +1,6 @@
 package repro.dist
 
 import repro.SparkSpec
-import repro.core.{LabelBuffers, NodeLabels}
 import repro.graph.{GraphGen, Ranking}
 import repro.TestUtil._
 
@@ -28,72 +27,57 @@ class SimClusterSpec extends SparkSpec {
     }
   }
 
-  test("finish reports per-node counts that sum to the total") {
-    val q    = 3
-    val rank = identityRanking(12)
-    // node i owns the hubs at positions i, i+3, i+6
-    val blocks = Array.tabulate(q) { i =>
-      val hubs = i until 9 by q
-      new NodeLabels(hubs.flatMap(_ => Seq(1, 2)).toArray, hubs.flatMap(h => Seq(h, h)).toArray,
-        hubs.flatMap(_ => Seq(1L, 2L)).toArray)
-    }
-    val (l, stats) = SimCluster.finish(blocks, new LabelBuffers(rank.n, threadSafe = false), rank,
-      new SimCluster.StatsAccum, System.nanoTime())
-    assert(stats.perNodeLabels.toSeq == Seq(6L, 6L, 6L))
-    assert(l.labelCount == 18 && stats.labelsFinal == 18)
-    assert(l.hubs(1).toSeq == (0 until 9).map(rank.order), "each vertex's hubs must be rank-descending")
-    assert(l.query(1, 2) == 3)
-
-    // a DGLL phase's table: hubs ranked below every block's, each label
-    // counted on its hub's owner
-    val global = new LabelBuffers(rank.n, threadSafe = false)
-    for ((v, h) <- Seq((1, 9), (2, 9), (1, 10), (2, 10), (3, 10), (3, 11))) global.add(v, h, 5L)
-    val (lg, sg) = SimCluster.finish(blocks, global, rank, new SimCluster.StatsAccum, System.nanoTime())
-    assert(sg.perNodeLabels.toSeq == Seq(8L, 9L, 7L))
-    for (i <- 0 until q) assert(sg.perNodeLabels(i) == lg.hubPos.count(_ % q == i), s"node $i")
-    assert(lg.labelCount == 24 && sg.labelsFinal == 24)
-    for (v <- 0 until rank.n) {
-      val hubs = lg.hubPos.slice(lg.offsets(v), lg.offsets(v + 1))
-      assert(hubs.toSeq == hubs.sorted.distinct.toSeq, s"vertex $v's hubs must ascend: ${hubs.toSeq}")
-    }
-    assert(lg.hubs(1).toSeq == (0 until 11).map(rank.order))
-  }
-
   test("runs leave no persisted RDD behind") {
     val sc = spark.sparkContext
     val g  = GraphGen.grid(7, 7, seed = 63)
     val r  = Ranking.byApproxBetweenness(g)
     def assertNoneLeft(what: String): Unit =
       assert(sc.getPersistentRDDs.isEmpty, s"$what left ${sc.getPersistentRDDs.values.mkString(", ")}")
-    Hybrid.run(spark, g, r, q = 2, psiTh = Double.PositiveInfinity, eta = 0, batchSize = 8)
+    Hybrid.run(spark, g, r, q = 2, psiTh = Double.MaxValue, eta = 0)
     assertNoneLeft("a batched PLaNT run")
-    val (_, hs) = Hybrid.run(spark, g, r, q = 2, psiTh = 0.0, batchSize = 8)
+    val (_, hs) = Hybrid.run(spark, g, r, q = 2, psiTh = 0.0)
     assert(hs.switchPos > 0, "the Hybrid run must switch to DGLL")
     assertNoneLeft("a switching Hybrid.run")
     DGLL.run(spark, g, r, q = 2)
     assertNoneLeft("DGLL.run")
   }
 
-  test("recordExchange meters broadcast and bitvector traffic") {
-    val acc = new SimCluster.StatsAccum
-    acc.recordExchange(labels = 100, q = 4, cleaned = true)
-    assert(acc.bytesBroadcast == 100L * 12 * 3)
-    assert(acc.bytesAllReduce == 13L * 2 * 4)
-    assert(acc.syncs == 1)
-    acc.recordExchange(labels = 10, q = 4, cleaned = false)
-    assert(acc.syncs == 2)
-    assert(acc.bytesAllReduce == 13L * 2 * 4) // unchanged without cleaning
-  }
-
-  test("recordExchange on a single node moves no label bytes") {
-    val acc = new SimCluster.StatsAccum
-    acc.recordExchange(labels = 50, q = 1, cleaned = true)
-    assert(acc.bytesBroadcast == 0)
+  test("a one-superstep DGLL run meters one exchange and its bitvectors") {
+    // n <= beta: the whole queue is one superstep
+    val g = GraphGen.grid(4, 4, seed = 68)
+    val r = Ranking.byDegree(g)
+    val q = 4
+    val (_, s) = DGLL.run(spark, g, r, q, beta = 16)
+    assert(s.syncs == 1 && s.labelsGenerated > 0)
+    assert(s.bytesBroadcast == s.labelsGenerated * 12 * (q - 1))
+    assert(s.bytesAllReduce == (s.labelsGenerated + 7) / 8 * 2 * q)
+    // DparaPLL exchanges the same way but moves no bitvector
+    val small = GraphGen.grid(2, 4, seed = 68)
+    val (_, p) = DGLL.runParaPLL(spark, small, Ranking.byDegree(small), q)
+    assert(p.syncs == 1 && p.labelsGenerated > 0)
+    assert(p.bytesBroadcast == p.labelsGenerated * 12 * (q - 1))
+    assert(p.bytesAllReduce == 0)
   }
 
   test("recordCommonTableBroadcast accounts the eta-hub replication") {
-    val acc = new SimCluster.StatsAccum
-    acc.recordCommonTableBroadcast(labels = 7, q = 5)
-    assert(acc.bytesBroadcast == 7L * 12 * 4)
+    // psiTh never exceeded: no switch, so the common table is the run's only
+    // traffic and each top-eta hub's final label crosses to q - 1 nodes once
+    val g   = GraphGen.preferentialAttachment(60, 3, seed = 67)
+    val r   = Ranking.byDegree(g)
+    val eta = 7
+    val q   = 5
+    val (l, s) = Hybrid.run(spark, g, r, q, psiTh = Double.MaxValue, eta = eta)
+    val tableLabels = l.triples.count(t => r.posOf(t.h) < eta)
+    assert(s.switchPos == -1 && tableLabels > 0)
+    assert(s.bytesBroadcast == tableLabels.toLong * 12 * (q - 1))
+    val (_, s1) = Hybrid.run(spark, g, r, q = 1, psiTh = Double.MaxValue, eta = eta)
+    assert(s1.bytesBroadcast == 0, "a single node replicates nothing")
+  }
+
+  test("a DGLL run on a single node moves no label bytes") {
+    val g = GraphGen.preferentialAttachment(60, 3, seed = 69)
+    val (_, s) = DGLL.run(spark, g, Ranking.byDegree(g), q = 1)
+    assert(s.labelsGenerated > 0 && s.syncs > 1)
+    assert(s.bytesBroadcast == 0)
   }
 }

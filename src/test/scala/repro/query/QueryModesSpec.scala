@@ -1,7 +1,5 @@
 package repro.query
 
-import scala.jdk.CollectionConverters._
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import repro.{SparkSpec, TestUtil}
 import repro.core.{GLL, Labeling}
 import repro.graph.{Dijkstra, Ranking, TestGraphs}
@@ -117,42 +115,6 @@ class QueryModesSpec extends SparkSpec {
         assert(QueryModes.qdol(spark, l, q, us, vs).distances.toSeq == expect, "QDOL")
       }
     }
-
-  /** Records the Spark jobs submitted while the local property `Tag` is
-    * `tag`, and the tasks of their stages.
-    */
-  private final class TaggedJobs(tag: String) extends SparkListener {
-    val jobStages = new java.util.concurrent.ConcurrentHashMap[Int, Seq[Int]]()
-    val tasks = new java.util.concurrent.atomic.AtomicInteger
-    @volatile var drained = false
-    override def onJobStart(e: SparkListenerJobStart): Unit = {
-      val t = Option(e.properties).map(_.getProperty(TaggedJobs.Tag)).orNull
-      if (t == tag) jobStages.put(e.jobId, e.stageIds)
-      else if (t == s"$tag-drain") drained = true
-    }
-    override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
-      if (jobStages.values.asScala.exists(_.contains(e.stageId))) tasks.incrementAndGet()
-  }
-  private object TaggedJobs { val Tag = "repro.test.tag" }
-
-  /** The Spark jobs `body` submits, and the tasks of their stages. */
-  private def jobsOf(tag: String)(body: => Unit): TaggedJobs = {
-    val sc = spark.sparkContext
-    val jobs = new TaggedJobs(tag)
-    sc.addSparkListener(jobs)
-    try {
-      sc.setLocalProperty(TaggedJobs.Tag, tag)
-      body
-      // the bus delivers in order: once a later job's start is seen, so
-      // is every event of the body's jobs
-      sc.setLocalProperty(TaggedJobs.Tag, s"$tag-drain")
-      sc.parallelize(Seq(0), 1).count()
-      val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
-      while (!jobs.drained && System.nanoTime() < deadline) Thread.sleep(5)
-      assert(jobs.drained, "listener bus did not drain within 30 s")
-    } finally { sc.setLocalProperty(TaggedJobs.Tag, null); sc.removeSparkListener(jobs) }
-    jobs
-  }
 
   test("one QLSN call runs one Spark job of q tasks, one per node") {
     val (_, r, l) = fixture(4)
