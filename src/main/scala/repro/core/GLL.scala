@@ -1,7 +1,8 @@
 package repro.core
 
-import java.util.concurrent.CyclicBarrier
+import java.util.concurrent.{Callable, ExecutionException, Executors}
 import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
+import scala.jdk.CollectionConverters._
 import repro.graph.{CsrGraph, Ranking}
 
 /** Shared-memory parallel CHL construction.
@@ -12,7 +13,10 @@ import repro.graph.{CsrGraph, Ranking}
   * consulting the lock-free *global* table; once the local table exceeds
   * `alpha * n` labels the threads synchronize, and the superstep's trees
   * are cleaned (Alg. 2's `DQ_Clean`, local candidates only) and committed
-  * to the global table.
+  * to the global table. A call runs on one pool of `threads` workers: each
+  * superstep is three phases on it — construct, clean, commit — and each
+  * phase ends when every worker has. The local table is allocated once
+  * per call and emptied after each commit.
   *
   * Each thread records its trees in its own [[NodeLabels]] block. Because
   * roots are claimed in rank order, every hub of superstep `s` ranks
@@ -26,7 +30,8 @@ import repro.graph.{CsrGraph, Ranking}
   * label against the global table, so a superstep's cleaning cost follows
   * the size of its own local table, not of the growing global one — which
   * is what makes GLL's interleaved cleaning cheaper than LCC's one-shot
-  * cleaning. `commitMs` is the part of `cleanMs` spent appending.
+  * cleaning. `commitMs` is the part of `cleanMs` spent appending and
+  * emptying the local table.
   *
   * [[GLL.runLCC]] is the two-step LCC algorithm (§4.1): exactly one
   * superstep (`alpha = ∞`) followed by one full cleaning pass.
@@ -62,6 +67,7 @@ object GLL {
                       paraPLL: Boolean): Result = {
     require(threads >= 1, s"threads must be at least 1, got $threads")
     require(alpha > 0, s"superstep label limit alpha must be positive, got $alpha")
+    require(rank.n == g.n, s"ranking of ${rank.n} vertices for a graph of ${g.n}")
     val n  = g.n
     val t0 = System.nanoTime()
     val limit: Long =
@@ -72,6 +78,9 @@ object GLL {
     // barriers, so construction threads read it lock-free (the paper's
     // lock-avoidance point).
     val global = new LabelBuffers(n, threadSafe = false)
+    // The superstep's local table, emptied after each commit.
+    val local  = new LabelBuffers(n, threadSafe = true)
+    val tables = Array(global, local)
     // Where the tree rooted at rank position p is kept until its superstep
     // commits: (t << 32) | i, for the run starting at label i of thread t's
     // block. Each thread's block holds its trees in the order it claimed them.
@@ -88,41 +97,43 @@ object GLL {
     var generated   = 0L
     var removed     = 0L
 
-    while (rootPos.get() < n) {
+    val pool = Executors.newFixedThreadPool(threads)
+    // Runs body(t) for every thread t on the pool and returns once all have
+    // ended; a worker's failure is rethrown as itself.
+    def onEach(body: Int => Unit): Unit =
+      pool.invokeAll((0 until threads).map(t => (() => body(t)): Callable[Unit]).asJava).forEach { f =>
+        try f.get() catch { case e: ExecutionException => throw e.getCause }
+      }
+
+    try while (rootPos.get() < n) {
       supersteps += 1
       val a              = rootPos.get()
-      val local          = new LabelBuffers(n, threadSafe = true)
       val labelsThisStep = new AtomicLong(0)
-      val tables         = Array(global, local)
       val blocks         = new Array[NodeLabels](threads)
 
       val tc = System.nanoTime()
-      val workers = (0 until threads).map { t =>
-        new Thread(() => {
-          val scratch = scratches(t)
-          val out     = new NodeLabels.Builder
-          var done = false
-          while (!done) {
-            if (labelsThisStep.get() >= limit) done = true
+      onEach { t =>
+        val scratch = scratches(t)
+        val out     = new NodeLabels.Builder
+        var done = false
+        while (!done) {
+          if (labelsThisStep.get() >= limit) done = true
+          else {
+            val i = rootPos.getAndIncrement()
+            if (i >= n) done = true
             else {
-              val i = rootPos.getAndIncrement()
-              if (i >= n) done = true
-              else {
-                val start = out.size
-                runAt(i) = (t.toLong << 32) | start
-                val e = PrunedDijkstra.buildTree(
-                  g, rank, rank.order(i), tables, rankQueries = !paraPLL, scratch,
-                  sink = (v, d) => { local.add(v, i, d); out.add(v, i, d) })
-                labelsThisStep.addAndGet(out.size - start)
-                exploredTot.addAndGet(e)
-              }
+              val start = out.size
+              runAt(i) = (t.toLong << 32) | start
+              val e = PrunedDijkstra.buildTree(
+                g, rank, rank.order(i), tables, rankQueries = !paraPLL, scratch,
+                sink = (v, d) => { local.add(v, i, d); out.add(v, i, d) })
+              labelsThisStep.addAndGet(out.size - start)
+              exploredTot.addAndGet(e)
             }
           }
-          blocks(t) = out.result()
-        })
+        }
+        blocks(t) = out.result()
       }
-      workers.foreach(_.start())
-      workers.foreach(_.join())
       constructNs += System.nanoTime() - tc
       generated += labelsThisStep.get()
       val b = math.min(n, rootPos.get()) // this superstep built roots a until b
@@ -138,38 +149,35 @@ object GLL {
       // witness lies in local(h) ∩ local(v). (For LCC global is empty.)
       // Both tables are read-only until the commit; of local, markRun locks
       // only h's list, for its snapshot. SparaPLL cleans nothing and commits all.
-      val ts = System.nanoTime()
-      val marks       = if (paraPLL) null else blocks.map(bl => new Array[Boolean](bl.size))
-      val cleanPos    = new AtomicInteger(if (paraPLL) b else a)
-      val removedBy   = new Array[Long](threads)
-      var commitStart = 0L
-      val cleaned     = new CyclicBarrier(threads, () => commitStart = System.nanoTime())
-      val cleaners = (0 until threads).map { t =>
-        new Thread(() => {
-          val scratch = scratches(t)
-          var p = cleanPos.getAndIncrement()
-          while (p < b) {
-            val k = (runAt(p) >>> 32).toInt
-            Cleaning.markRun(blocks(k), runAt(p).toInt, p, local, rank, scratch, marks(k))
-            p = cleanPos.getAndIncrement()
-          }
-          cleaned.await()
-          // Commit the survivors whose v is in this thread's vertex range,
-          // root by root: each list has one writer, and every hub of this
-          // superstep ranks below every hub already in global, so the
-          // lists stay sorted by hub position.
-          val lo = (n.toLong * t / threads).toInt
-          val hi = (n.toLong * (t + 1) / threads).toInt
-          removedBy(t) = global.appendRuns(blocks, marks, lo, hi)
-        })
+      val ts       = System.nanoTime()
+      val marks    = if (paraPLL) null else blocks.map(bl => new Array[Boolean](bl.size))
+      val cleanPos = new AtomicInteger(if (paraPLL) b else a)
+      onEach { t =>
+        val scratch = scratches(t)
+        var p = cleanPos.getAndIncrement()
+        while (p < b) {
+          val k = (runAt(p) >>> 32).toInt
+          Cleaning.markRun(blocks(k), runAt(p).toInt, p, local, rank, scratch, marks(k))
+          p = cleanPos.getAndIncrement()
+        }
       }
-      cleaners.foreach(_.start())
-      cleaners.foreach(_.join())
+      // Commit the survivors whose v is in thread t's vertex range, root by
+      // root: each list has one writer, and every hub of this superstep
+      // ranks below every hub already in global, so the lists stay sorted
+      // by hub position.
+      val tm        = System.nanoTime()
+      val removedBy = new Array[Long](threads)
+      onEach { t =>
+        val lo = (n.toLong * t / threads).toInt
+        val hi = (n.toLong * (t + 1) / threads).toInt
+        removedBy(t) = global.appendRuns(blocks, marks, lo, hi)
+      }
+      local.clear()
       val te = System.nanoTime()
-      commitNs += te - commitStart
+      commitNs += te - tm
       removed += removedBy.sum
       cleanNs += te - ts
-    }
+    } finally pool.shutdown()
 
     Result(
       labeling = global.toLabeling(rank),

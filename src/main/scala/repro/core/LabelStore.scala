@@ -63,6 +63,9 @@ final class LabelBuffers(val n: Int, val threadSafe: Boolean) extends Serializab
     if (threadSafe) b.synchronized(scan()) else scan()
   }
 
+  /** Empties every list, keeping its arrays for the next fill. */
+  def clear(): Unit = bufs.foreach(_.size = 0)
+
   def labelCount: Long = {
     var s = 0L; var v = 0
     while (v < n) { s += bufs(v).size; v += 1 }

@@ -11,6 +11,7 @@ object SeqPLL {
   final case class Result(labeling: Labeling, timeMs: Long, explored: Long)
 
   def run(g: CsrGraph, rank: Ranking): Result = {
+    require(rank.n == g.n, s"ranking of ${rank.n} vertices for a graph of ${g.n}")
     val t0      = System.nanoTime()
     val buffers = new LabelBuffers(g.n, threadSafe = false)
     val tables  = Array(buffers)

@@ -42,6 +42,7 @@ object Hybrid {
                           psiTh: Double = Double.PositiveInfinity, eta: Int = 0, dgllOnly: Boolean = false,
                           beta: Int = DGLL.DefaultBeta, paraPLL: Boolean = false): (Labeling, DistStats) = {
     require(q >= 1, s"node count q must be at least 1, got $q")
+    require(rank.n == g.n, s"ranking of ${rank.n} vertices for a graph of ${g.n}")
     val sc = spark.sparkContext
     val n  = g.n
     val t0 = System.nanoTime()

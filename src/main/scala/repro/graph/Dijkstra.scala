@@ -1,8 +1,9 @@
 package repro.graph
 
 /** Reference shortest paths — the independent distance oracle used by
-  * tests. The approximate-betweenness ranking runs its own Brandes passes
-  * and shares only [[Inf]] and [[LongMinHeap]].
+  * the tests and by chlbench's correctness gate. The approximate-betweenness
+  * ranking runs its own Brandes passes and shares only [[Inf]] and
+  * [[LongMinHeap]].
   */
 object Dijkstra {
 

@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.graph.{GraphGen, TestGraphs}
 import repro.TestUtil._
+import scala.jdk.CollectionConverters._
 
 class GLLSpec extends AnyFunSuite {
 
@@ -63,6 +64,29 @@ class GLLSpec extends AnyFunSuite {
     val r = TestUtil.rankingFor(g, 0)
     intercept[IllegalArgumentException](GLL.run(g, r, threads = 0))
     intercept[IllegalArgumentException](GLL.runLCC(g, r, threads = 0))
+  }
+
+  test("GLL, LCC and SparaPLL reject a ranking of another graph's size") {
+    val g = GraphGen.grid(10, 10)
+    val r = identityRanking(25)
+    for (build <- Seq[() => GLL.Result](() => GLL.run(g, r, threads = 4), () => GLL.runLCC(g, r, 4),
+                                        () => GLL.runParaPLL(g, r, 4))) {
+      val e = intercept[IllegalArgumentException](build())
+      assert(e.getMessage.contains("ranking of 25 vertices for a graph of 100"), e.getMessage)
+    }
+  }
+
+  test("GLL, LCC and SparaPLL leave no thread running") {
+    val g = GraphGen.grid(8, 8)
+    val r = TestUtil.rankingFor(g, 0)
+    def live = Thread.getAllStackTraces.keySet.asScala.filter(_.isAlive).toSet
+    val before = live
+    GLL.run(g, r, threads = 4, alpha = 1.0)
+    GLL.runLCC(g, r, 4)
+    GLL.runParaPLL(g, r, 4)
+    val deadline = System.nanoTime() + 5000000000L
+    while ((live -- before).nonEmpty && System.nanoTime() < deadline) Thread.sleep(10)
+    assert((live -- before).isEmpty, s"still running: ${(live -- before).map(_.getName)}")
   }
 
   test("GLL rejects an alpha that is not positive") {

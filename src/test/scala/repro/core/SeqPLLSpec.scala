@@ -66,6 +66,12 @@ class SeqPLLSpec extends AnyFunSuite {
     assert(res.explored >= res.labeling.labelCount)
   }
 
+  test("seqPLL rejects a ranking of another graph's size") {
+    val g = GraphGen.grid(10, 10)
+    val e = intercept[IllegalArgumentException](SeqPLL.run(g, identityRanking(25)))
+    assert(e.getMessage.contains("ranking of 25 vertices for a graph of 100"), e.getMessage)
+  }
+
   test("deterministic across runs") {
     val g = GraphGen.preferentialAttachment(50, 2, seed = 9)
     val r = Ranking.byDegree(g)

@@ -105,6 +105,16 @@ class HybridSpec extends SparkSpec {
     rejected("psiTh must be a number")(Hybrid.run(spark, g, r, q = 2, psiTh = Double.NaN))
   }
 
+  test("Hybrid, PLaNT, DGLL and DparaPLL reject a ranking of another graph's size") {
+    val g = GraphGen.grid(10, 10)
+    val r = identityRanking(25)
+    for (build <- Seq[() => Any](() => Hybrid.run(spark, g, r, q = 2), () => Plant.run(spark, g, r, 2),
+                                 () => DGLL.run(spark, g, r, 2), () => DGLL.runParaPLL(spark, g, r, 2))) {
+      val e = intercept[IllegalArgumentException](build())
+      assert(e.getMessage.contains("ranking of 25 vertices for a graph of 100"), e.getMessage)
+    }
+  }
+
   test("Hybrid label storage stays partitioned across the switch") {
     val g = GraphGen.preferentialAttachment(90, 3, seed = 67)
     val r = Ranking.byDegree(g)
