@@ -74,13 +74,12 @@ final class LabelBuffers(val n: Int, val threadSafe: Boolean) extends Serializab
 
   /** Appends the labels of `blocks`, merged by root: root by root in
     * ascending rank position, the root's run from whichever block holds it.
-    * Only labels whose `v` lies in `[lo, hi)` are appended, and of those
-    * none that `marks` marks (`marks(k)(i)` for label `i` of block `k`;
-    * null: none). Returns the count of marked labels skipped. Appending a
-    * superstep whose roots all rank below every hub already here keeps
-    * each list sorted by hub position.
+    * Labels that `marks` marks (`marks(k)(i)` for label `i` of block `k`;
+    * null: none) are skipped. Returns the count of marked labels skipped.
+    * Appending a superstep whose roots all rank below every hub already
+    * here keeps each list sorted by hub position.
     */
-  def appendRuns(blocks: Array[NodeLabels], marks: Array[Array[Boolean]], lo: Int, hi: Int): Long = {
+  def appendRuns(blocks: Array[NodeLabels], marks: Array[Array[Boolean]]): Long = {
     val at = new Array[Int](blocks.length) // each block's next run
     var skipped = 0L
     var k = 0
@@ -96,11 +95,8 @@ final class LabelBuffers(val n: Int, val threadSafe: Boolean) extends Serializab
         val b = blocks(k); val m = if (marks == null) null else marks(k)
         var i = at(k)
         while (i < b.size && b.h(i) == h) {
-          val v = b.v(i)
-          if (v >= lo && v < hi) {
-            if (m != null && m(i)) skipped += 1
-            else add(v, h, b.d(i))
-          }
+          if (m != null && m(i)) skipped += 1
+          else add(b.v(i), h, b.d(i))
           i += 1
         }
         at(k) = i
@@ -110,8 +106,9 @@ final class LabelBuffers(val n: Int, val threadSafe: Boolean) extends Serializab
   }
 
   /** A copy as a [[Labeling]]. Rank-ordered root loops (SeqPLL, each
-    * [[appendRuns]]) fill every list in ascending hub order; a list that
-    * does not ascend is a commit-order bug and is rejected, naming its vertex.
+    * [[appendRuns]], each [[Cleaning.commitVertex]]) fill every list in
+    * ascending hub order; a list that does not ascend is a commit-order bug
+    * and is rejected, naming its vertex.
     */
   def toLabeling(rank: Ranking): Labeling = {
     val total = labelCount
@@ -141,11 +138,11 @@ final class LabelBuffers(val n: Int, val threadSafe: Boolean) extends Serializab
 /** The labels of a set of trees, as parallel columns: label `i` says vertex
   * `v(i)` is at distance `d(i)` from the hub at rank position `h(i)`.
   *
-  * A block holds one contiguous run of labels per root, roots ascending —
-  * the trees one GLL thread built in a superstep, the ones a DGLL node
-  * generated, or a node's planted batches concatenated in batch order.
-  * [[Cleaning.markRun]] marks a run and [[LabelBuffers.appendRuns]] merges
-  * blocks run by run.
+  * The dist layer's record of a node's trees: a block holds one contiguous
+  * run of labels per root, roots ascending — the candidates a DGLL node
+  * generated in a superstep, or a node's planted batches concatenated in
+  * batch order. [[Cleaning.markRun]] marks a run and
+  * [[LabelBuffers.appendRuns]] merges blocks run by run.
   */
 final class NodeLabels(val v: Array[Int], val h: Array[Int], val d: Array[Long]) extends Serializable {
   def size: Int = v.length
@@ -161,14 +158,12 @@ final class NodeLabels(val v: Array[Int], val h: Array[Int], val d: Array[Long])
   /** Per-vertex lists of this block's labels over `n` vertices. */
   def index(n: Int): LabelBuffers = {
     val t = new LabelBuffers(n, threadSafe = false)
-    t.appendRuns(Array(this), null, 0, n)
+    t.appendRuns(Array(this), null)
     t
   }
 }
 
 object NodeLabels {
-  val empty = new NodeLabels(Array.emptyIntArray, Array.emptyIntArray, Array.emptyLongArray)
-
   /** All labels of `blocks`, in order. */
   def concat(blocks: Seq[NodeLabels]): NodeLabels =
     new NodeLabels(Array.concat(blocks.map(_.v): _*), Array.concat(blocks.map(_.h): _*),
@@ -203,9 +198,12 @@ object NodeLabels {
   * `d(w,v)+d(w,h) <= delta` with `w` outranking `h` — hubs being rank
   * positions, `w < h`.
   *
-  * Cleaning runs tree by tree: `L_h` is copied once into a dense snapshot
-  * (`DijkstraScratch.rootDist`) and every label of `h`'s tree scans its own
-  * `L_v`. The rank-ordered merge this replaces answers "redundant" iff the
+  * One list is copied once into a dense snapshot
+  * (`DijkstraScratch.rootDist`) and the other is scanned: GLL cleans vertex
+  * by vertex, snapshotting `L_v` and scanning each `L_h`
+  * ([[commitVertex]]); DGLL cleans tree by tree, snapshotting `L_h` and
+  * scanning each `L_v` ([[markRun]]). The condition is symmetric in the two
+  * lists. The rank-ordered merge this replaces answers "redundant" iff the
   * highest-ranked common hub meeting the distance condition outranks `h`;
   * that holds iff *any* such hub outranks `h`, so neither list needs to be
   * sorted and the scan order does not matter. `h` itself (its self-label
@@ -213,8 +211,8 @@ object NodeLabels {
   */
 object Cleaning {
   /** True iff a witness for `(h, delta)` lies among the first `lenV`
-    * entries of `(hubsV, distsV)`, a part of `L_v`, given `rootDist`, the
-    * snapshot of `L_h`.
+    * entries of `(hubsV, distsV)`, a part of one of the two lists, given
+    * `rootDist`, the snapshot of the other.
     */
   def isRedundant(
       h: Int,
@@ -231,12 +229,12 @@ object Cleaning {
     false
   }
 
-  /** Marks the redundant labels of root `h`'s run in `block`, the labels
-    * from index `from` on whose hub is `h`, setting `marks(i)` for each
-    * label `i` of the run: the root's list `witnesses(rank.order(h))` is
-    * snapshotted into `scratch` once, then each label `(v, delta)` scans
-    * `witnesses(v)`. Returns the run's end, `from` when `block` holds no
-    * run of `h` there.
+  /** DGLL's tree-by-tree cleaning of a candidate block. Marks the
+    * redundant labels of root `h`'s run in `block`, the labels from index
+    * `from` on whose hub is `h`, setting `marks(i)` for each label `i` of
+    * the run: the root's list `witnesses(rank.order(h))` is snapshotted into
+    * `scratch` once, then each label `(v, delta)` scans `witnesses(v)`.
+    * Returns the run's end, `from` when `block` holds no run of `h` there.
     */
   def markRun(block: NodeLabels, from: Int, h: Int, witnesses: LabelBuffers, rank: Ranking,
               scratch: DijkstraScratch, marks: Array[Boolean]): Int = {
@@ -249,5 +247,30 @@ object Cleaning {
       i += 1
     }
     i
+  }
+
+  /** GLL's vertex-by-vertex cleaning and commit of a superstep. Snapshots
+    * `local(v)` into `scratch` once, tests each of its labels `(h, delta)`
+    * against `local(rank.order(h))` (skipped unless `clean`), and appends
+    * the survivors to `global(v)` in ascending hub order, whatever the
+    * order of `local(v)`. `local` is only read. Returns the count of
+    * redundant labels.
+    */
+  def commitVertex(v: Int, local: LabelBuffers, global: LabelBuffers, rank: Ranking,
+                   scratch: DijkstraScratch, clean: Boolean): Int = {
+    scratch.reset()
+    local.appendRootSnapshot(v, scratch)
+    val hubs = scratch.snapped
+    val len  = scratch.sortSnapped()
+    var removed = 0
+    var i = 0
+    while (i < len) {
+      val h = hubs(i); val delta = scratch.rootDist(h)
+      val b = local.bufs(rank.order(h))
+      if (clean && isRedundant(h, delta, scratch.rootDist, b.hubs, b.dists, b.size)) removed += 1
+      else global.add(v, h, delta)
+      i += 1
+    }
+    removed
   }
 }

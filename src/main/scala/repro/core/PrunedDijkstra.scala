@@ -20,7 +20,8 @@ final class DijkstraScratch(n: Int) {
   // a vertex is touched (and a hub snapshotted) at most once per run
   private val touched = new Array[Int](n)
   private var nTouched = 0
-  private val snapped = new Array[Int](n)
+  // the hubs snapped since the last reset, distinct, first nSnapped entries
+  val snapped = new Array[Int](n)
   private var nSnapped = 0
 
   def touch(v: Int): Unit = { touched(nTouched) = v; nTouched += 1 }
@@ -30,6 +31,11 @@ final class DijkstraScratch(n: Int) {
     if (rootDist(h) < 0) { snapped(nSnapped) = h; nSnapped += 1 }
     rootDist(h) = d
   }
+
+  /** Sorts the hubs snapped since the last reset ascending, in place, and
+    * returns their count: they are `snapped(0 until count)`.
+    */
+  def sortSnapped(): Int = { java.util.Arrays.sort(snapped, 0, nSnapped); nSnapped }
 
   def reset(): Unit = {
     var i = 0

@@ -66,7 +66,7 @@ object DGLL {
         // per-vertex lists of this node's candidate witnesses: its prior
         // labels, then this superstep's candidates generated here
         val lab = bcPrior.value(pid).index(rk.n)
-        lab.appendRuns(Array(cand(pid)), null, 0, rk.n)
+        lab.appendRuns(Array(cand(pid)), null)
         val scratch = new DijkstraScratch(rk.n)
         Iterator.single(cand.map { c =>
           val m = new Array[Boolean](c.size)

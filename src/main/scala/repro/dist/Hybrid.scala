@@ -90,7 +90,7 @@ object Hybrid {
       // every node receives the table
       if (a == 0 && etaEff > 0) {
         val hc = new LabelBuffers(n, threadSafe = false)
-        hc.appendRuns(fresh.map(nl => nl.select(nl.h(_) < etaEff)), null, 0, n)
+        hc.appendRuns(fresh.map(nl => nl.select(nl.h(_) < etaEff)), null)
         bytesBroadcast += hc.labelCount * replicaBytes
         bcHc = sc.broadcast(hc)
       }
@@ -147,7 +147,7 @@ object Hybrid {
         val marks =
           if (paraPLL || labels == 0) null
           else DGLL.cleanCandidates(spark, bcPrior, bcRank, candidates)
-        redundantRemoved += global.appendRuns(candidates, marks, 0, n)
+        redundantRemoved += global.appendRuns(candidates, marks)
       }
       bcPrior.destroy()
     }
@@ -159,7 +159,7 @@ object Hybrid {
     // the DGLL phase.
     val perNode = blocks.map(_.size.toLong)
     val all = new LabelBuffers(n, threadSafe = false)
-    all.appendRuns(blocks, null, 0, n)
+    all.appendRuns(blocks, null)
     for (v <- 0 until n) {
       val lv = global.bufs(v)
       (0 until lv.size).foreach { i => perNode(lv.hubs(i) % q) += 1; all.add(v, lv.hubs(i), lv.dists(i)) }

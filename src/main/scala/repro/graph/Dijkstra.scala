@@ -47,7 +47,6 @@ final class LongMinHeap(initialCapacity: Int) {
   private var size = 0
 
   def nonEmpty: Boolean = size > 0
-  def isEmpty: Boolean  = size == 0
 
   def topDist: Long  = arr(0) >>> VBits
   def topVertex: Int = (arr(0) & VMask).toInt

@@ -118,7 +118,7 @@ object CoreProperties extends Properties("repro.core") {
         rnd.shuffle(run).foreach { case (v, p, d) => b.add(v, p, d) }
       }
       val store = new LabelBuffers(g.n, threadSafe = false)
-      store.appendRuns(blocks.map(_.result()), null, 0, g.n)
+      store.appendRuns(blocks.map(_.result()), null)
       val s = store.toLabeling(r)
       val out = (0 until g.n).flatMap(v =>
         (s.offsets(v) until s.offsets(v + 1)).map(k => (v, s.hubPos(k), s.hubDist(k))))

@@ -259,34 +259,32 @@ class LabelingSpec extends AnyFunSuite {
     bs.map(_.result())
   }
 
-  test("appendRuns merges interleaved blocks by root within [lo, hi) and skips the marked") {
+  test("appendRuns merges interleaved blocks by root and skips the marked") {
     val rnd = new scala.util.Random(12)
     val n   = 9
     for (trial <- 0 until 20) {
       val blocks = randomBlocks(rnd, 1 + rnd.nextInt(4), 25, n)
-      val lo = rnd.nextInt(n); val hi = lo + rnd.nextInt(n - lo + 1)
       val marks = if (trial % 3 == 0) null else blocks.map(b => Array.fill(b.size)(rnd.nextBoolean()))
       def marked(k: Int, i: Int) = marks != null && marks(k)(i)
       val t = new LabelBuffers(n, threadSafe = false)
-      val skipped = t.appendRuns(blocks, marks, lo, hi)
+      val skipped = t.appendRuns(blocks, marks)
       // every label of the blocks, root by root, in each run's column order
       val all = for {
         h <- 0 until 25; k <- blocks.indices; i <- 0 until blocks(k).size if blocks(k).h(i) == h
       } yield (k, i)
-      val inRange = all.filter { case (k, i) => blocks(k).v(i) >= lo && blocks(k).v(i) < hi }
-      assert(skipped == inRange.count { case (k, i) => marked(k, i) }, s"trial $trial")
+      assert(skipped == all.count { case (k, i) => marked(k, i) }, s"trial $trial")
       for (v <- 0 until n) {
-        val want = inRange.filter { case (k, i) => blocks(k).v(i) == v && !marked(k, i) }
+        val want = all.filter { case (k, i) => blocks(k).v(i) == v && !marked(k, i) }
           .map { case (k, i) => (blocks(k).h(i), blocks(k).d(i)) }
         val b = t.bufs(v)
         assert((0 until b.size).map(i => (b.hubs(i), b.dists(i))) == want, s"trial $trial, vertex $v")
         assert(want.map(_._1) == want.map(_._1).sorted, s"trial $trial, vertex $v: hubs must ascend")
       }
-      if (marks == null && lo == 0 && hi == n) assert(t.labelCount == blocks.map(_.size).sum)
+      if (marks == null) assert(t.labelCount == blocks.map(_.size).sum)
     }
     val t = new LabelBuffers(n, threadSafe = false)
     val blocks = randomBlocks(rnd, 3, 25, n)
-    assert(t.appendRuns(blocks, null, 0, n) == 0)
+    assert(t.appendRuns(blocks, null) == 0)
     assert(t.labelCount == blocks.map(_.size).sum, "null marks append every label")
   }
 
@@ -315,6 +313,37 @@ class LabelingSpec extends AnyFunSuite {
         val dh = list(r.order(h)).toMap
         val brute = list(v).exists { case (w, dv) => w < h && dh.get(w).exists(dv + _ <= delta) }
         assert(marks(j) == brute, s"trial $trial, label $j = ($v, $h, $delta)")
+      }
+    }
+  }
+
+  test("commitVertex appends what DQ_Clean keeps, in hub order, and leaves local as it was") {
+    val rnd = new scala.util.Random(33)
+    val n   = 12
+    for (trial <- 0 until 30) {
+      val r = randomRanking(n, trial)
+      // a local table whose lists hold distinct hubs in random order, as
+      // racing threads leave them, and a global table with earlier labels
+      val local = new LabelBuffers(n, threadSafe = true)
+      for (v <- 0 until n; h <- rnd.shuffle((0 until n).toList).take(rnd.nextInt(n)))
+        local.add(v, h, 1L + rnd.nextInt(10))
+      def list(t: LabelBuffers, v: Int) = { val b = t.bufs(v); (0 until b.size).map(j => (b.hubs(j), b.dists(j))) }
+      val before = (0 until n).map(list(local, _))
+      for (clean <- Seq(true, false)) {
+        val global  = new LabelBuffers(n, threadSafe = false)
+        for (v <- 0 until n) global.add(v, -1, 0L) // an earlier superstep's label stays first
+        val scratch = new DijkstraScratch(n)
+        for (v <- 0 until n) {
+          val brute = list(local, v).filter { case (h, delta) =>
+            val dh = list(local, r.order(h)).toMap
+            clean && list(local, v).exists { case (w, dv) => w < h && dh.get(w).exists(dv + _ <= delta) }
+          }
+          val removed = Cleaning.commitVertex(v, local, global, r, scratch, clean)
+          assert(removed == brute.size, s"trial $trial, vertex $v, clean $clean")
+          val want = list(local, v).filterNot(brute.contains).sortBy(_._1)
+          assert(list(global, v) == (-1, 0L) +: want, s"trial $trial, vertex $v, clean $clean")
+        }
+        assert((0 until n).map(list(local, _)) == before, s"trial $trial: local must not change")
       }
     }
   }
