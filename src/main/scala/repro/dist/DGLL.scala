@@ -38,50 +38,44 @@ object DGLL {
     val steps = math.max(1, math.ceil(math.log(math.max(2.0, total.toDouble)) / math.log(beta.toDouble)).toInt)
     val denom = (math.pow(beta.toDouble, steps.toDouble) - 1) / (beta - 1)
     val s0    = math.max(1.0, total / denom)
-    val sizes = (0 until steps).map(k => math.max(1, math.round(s0 * math.pow(beta.toDouble, k.toDouble)).toInt))
-    sizes
+    (0 until steps).map(k => math.max(1, math.round(s0 * math.pow(beta.toDouble, k.toDouble)).toInt))
   }
 
-  /** Distributed cleaning (§5.1): broadcast the superstep's candidate
-    * labels; each node marks the candidates it can prove redundant using
-    * witness hubs *it owns* (their labels for both endpoints live here);
-    * OR-allreduce the bitvectors, one per candidate block, as the indices
-    * each node marked. Witnesses lie in `prior` and the candidates only:
-    * were an earlier superstep's hub `w` one for `(v, h, δ)`, `w` would be
-    * in `global(h)` and `global(v)`, and `h`'s tree would not have emitted
-    * `v` at `δ`.
+  /** Distributed cleaning (§5.1) of a superstep's candidates `cand`, the
+    * nodes' blocks merged into one CSR: broadcast it; each node marks the
+    * candidates it can prove redundant using witness hubs *it owns* (their
+    * labels for both endpoints live here), vertex by vertex
+    * ([[Cleaning.markVertex]]); OR-allreduce the bitvectors, as the CSR
+    * indices each node marked. Witnesses lie in `prior` and the candidates
+    * only: were an earlier superstep's hub `w` one for `(v, h, δ)`, `w`
+    * would be in `global(h)` and `global(v)`, and `h`'s tree would not have
+    * emitted `v` at `δ`. Returns the marks, by CSR index.
     */
   private[dist] def cleanCandidates(
       spark: SparkSession,
       bcPrior: Broadcast[Array[NodeLabels]],
-      bcRank: Broadcast[Ranking],
-      candidates: Array[NodeLabels],
-  ): Array[Array[Boolean]] = {
+      cand: Labeling,
+      q: Int,
+  ): Array[Boolean] = {
     val sc     = spark.sparkContext
-    val bcCand = sc.broadcast(candidates)
-    val marked = sc.parallelize(candidates.indices, candidates.length)
+    val bcCand = sc.broadcast(cand)
+    val marked = sc.parallelize(0 until q, q)
       .mapPartitionsWithIndex { (pid, _) =>
-        val rk   = bcRank.value
-        val cand = bcCand.value
-        // per-vertex lists of this node's candidate witnesses: its prior
-        // labels, then this superstep's candidates generated here
-        val lab = bcPrior.value(pid).index(rk.n)
-        lab.appendRuns(Array(cand(pid)), null)
-        val scratch = new DijkstraScratch(rk.n)
-        Iterator.single(cand.map { c =>
-          val m = new Array[Boolean](c.size)
-          var i = 0
-          while (i < c.size) i = Cleaning.markRun(c, i, c.h(i), lab, rk, scratch, m)
-          val ix = new scala.collection.mutable.ArrayBuilder.ofInt
-          i = 0
-          while (i < c.size) { if (m(i)) ix += i; i += 1 }
-          ix.result()
-        })
+        val c = bcCand.value
+        // per-vertex lists of this node's witnesses: its prior labels, then
+        // this superstep's candidates whose hub it owns
+        val lab = NodeLabels.merge(Array(bcPrior.value(pid)), c.n)
+        for (v <- 0 until c.n; k <- c.offsets(v) until c.offsets(v + 1) if c.hubPos(k) % q == pid)
+          lab.add(v, c.hubPos(k), c.hubDist(k))
+        val scratch = new DijkstraScratch(c.n)
+        val ix = new scala.collection.mutable.ArrayBuilder.ofInt
+        for (v <- 0 until c.n) Cleaning.markVertex(v, c, lab, scratch, ix)
+        Iterator.single(ix.result())
       }
       .collect()
     bcCand.destroy()
-    val marks = candidates.map(c => new Array[Boolean](c.size))
-    for (node <- marked; k <- node.indices; i <- node(k)) marks(k)(i) = true
+    val marks = new Array[Boolean](cand.hubPos.length)
+    for (node <- marked; k <- node) marks(k) = true
     marks
   }
 }

@@ -89,8 +89,7 @@ object Hybrid {
       // later root, so a later tree may prune with their labels (§5.3);
       // every node receives the table
       if (a == 0 && etaEff > 0) {
-        val hc = new LabelBuffers(n, threadSafe = false)
-        hc.appendRuns(fresh.map(nl => nl.select(nl.h(_) < etaEff)), null)
+        val hc = NodeLabels.merge(fresh.map(nl => nl.select(nl.h(_) < etaEff)), n)
         bytesBroadcast += hc.labelCount * replicaBytes
         bcHc = sc.broadcast(hc)
       }
@@ -127,7 +126,7 @@ object Hybrid {
         val (candidates, exploredBy) = SimCluster.round(sc, q, a, b) { pid =>
           val gg = bcGraph.value; val rk = bcRank.value
           // grown by this superstep's trees, whose roots rank below the block's
-          val own = bcPrior.value(pid).index(gg.n)
+          val own = NodeLabels.merge(Array(bcPrior.value(pid)), gg.n)
           val tables =
             if (hcNow != null) Array(bcGlobal.value, own, hcNow.value) else Array(bcGlobal.value, own)
           val scratch = new DijkstraScratch(gg.n)
@@ -144,10 +143,13 @@ object Hybrid {
         if (!paraPLL) bytesAllReduce += (labels + 7) / 8 * 2 * q
         syncs += 1
 
-        val marks =
-          if (paraPLL || labels == 0) null
-          else DGLL.cleanCandidates(spark, bcPrior, bcRank, candidates)
-        redundantRemoved += global.appendRuns(candidates, marks)
+        // the candidates as one CSR: each vertex's hubs ascend, below every
+        // hub in `global`, so a commit in CSR order keeps `global` sorted
+        val cand  = NodeLabels.merge(candidates, n).toLabeling(rank)
+        val marks = if (paraPLL || labels == 0) null else DGLL.cleanCandidates(spark, bcPrior, cand, q)
+        for (v <- 0 until n; k <- cand.offsets(v) until cand.offsets(v + 1))
+          if (marks != null && marks(k)) redundantRemoved += 1
+          else global.add(v, cand.hubPos(k), cand.hubDist(k))
       }
       bcPrior.destroy()
     }
@@ -158,8 +160,7 @@ object Hybrid {
     // Each list takes the planted labels first: they outrank every hub of
     // the DGLL phase.
     val perNode = blocks.map(_.size.toLong)
-    val all = new LabelBuffers(n, threadSafe = false)
-    all.appendRuns(blocks, null)
+    val all = NodeLabels.merge(blocks, n)
     for (v <- 0 until n) {
       val lv = global.bufs(v)
       (0 until lv.size).foreach { i => perNode(lv.hubs(i) % q) += 1; all.add(v, lv.hubs(i), lv.dists(i)) }

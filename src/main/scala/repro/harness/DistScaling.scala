@@ -17,7 +17,7 @@ object DistScaling {
   private val Subset = Seq("cal-lite", "skit-lite", "act-lite")
 
   def main(args: Array[String]): Unit = {
-    val scale = args.headOption.fold(0.5)(_.toDouble)
+    val scale = TableMain.scale(args, 0.5)
     TableMain.report(s"Distributed scaling (scale=$scale qs=${Qs.mkString(",")})",
       TableMain.withSpark("dist-scaling")(run(_, scale)))(format, check)
   }

@@ -11,7 +11,7 @@ object Table2 {
                        paperN: Long, paperM: Long, n: Int, m: Long)
 
   def main(args: Array[String]): Unit = {
-    val scale = args.headOption.fold(1.0)(_.toDouble)
+    val scale = TableMain.scale(args, 1.0)
     TableMain.report(s"Table 2 (dataset analogs, scale=$scale)", run(scale))(format, check)
   }
 

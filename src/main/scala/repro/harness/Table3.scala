@@ -22,7 +22,7 @@ object Table3 {
   private val Threads = Runtime.getRuntime.availableProcessors()
 
   def main(args: Array[String]): Unit = {
-    val scale = args.headOption.fold(1.0)(_.toDouble)
+    val scale = TableMain.scale(args, 1.0)
     TableMain.report(s"Table 3 (scale=$scale threads=$Threads alpha=4)", run(scale))(format, check)
   }
 

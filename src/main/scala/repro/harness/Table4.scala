@@ -29,7 +29,7 @@ object Table4 {
   private val Batch = 200000
 
   def main(args: Array[String]): Unit = {
-    val scale = args.headOption.fold(1.0)(_.toDouble)
+    val scale = TableMain.scale(args, 1.0)
     TableMain.report(s"Table 4 (scale=$scale q=$Q batch=$Batch)",
       TableMain.withSpark("table4")(run(_, scale)))(format, check)
   }
@@ -64,6 +64,10 @@ object Table4 {
       failed((r.qlsn.memBytesTotal == Q.toLong * r.qfdl.memBytesTotal) -> s"${r.dataset}: QLSN memory is not q x QFDL's",
         (r.qdol.memBytesTotal > r.qfdl.memBytesTotal) -> s"${r.dataset}: QDOL memory not above QFDL's",
         (r.qdol.memBytesTotal < r.qlsn.memBytesTotal) -> s"${r.dataset}: QDOL memory not below QLSN's",
+        // per node, the reason for the modes (§6): a QFDL node holds one
+        // owner slice, a QDOL node two vertex parts, a QLSN node every label
+        (r.qfdl.memBytesMaxNode < r.qdol.memBytesMaxNode) -> s"${r.dataset}: QFDL's largest node not below QDOL's",
+        (r.qdol.memBytesMaxNode < r.qlsn.memBytesMaxNode) -> s"${r.dataset}: QDOL's largest node not below QLSN's",
         // latency model: QLSN (no network) < QDOL (P2P) < QFDL (broadcast)
         // unless per-query compute is large enough for QFDL's 1/q split to win
         (r.qlsn.latencyMicros < r.qdol.latencyMicros) -> s"${r.dataset}: QLSN latency not below QDOL's",
@@ -75,14 +79,16 @@ object Table4 {
   def format(rows: Seq[Row]): String = {
     val sb = new StringBuilder
     val modes = f"${"QLSN"}%8s ${"QFDL"}%8s ${"QDOL"}%8s"
-    sb ++= f"${"Dataset"}%-10s | ${"Thrpt (k q/s)"}%-26s | ${"Latency (us/query)"}%-26s | ${"Label memory (MB)"}%-26s | ${"First call (ms)"}%-26s\n"
-    sb ++= f"${""}%-10s | $modes | $modes | $modes | $modes\n"
+    sb ++= f"${"Dataset"}%-10s | ${"Thrpt (k q/s)"}%-26s | ${"Latency (us/query)"}%-26s | ${"Label memory (MB)"}%-26s" +
+      f" | ${"Largest node (MB)"}%-26s | ${"First call (ms)"}%-26s\n"
+    sb ++= f"${""}%-10s | $modes | $modes | $modes | $modes | $modes\n"
     rows.foreach { r =>
       def kqps(m: QueryModes.ModeMetrics) = m.throughputQps / 1e3
-      def mb(m: QueryModes.ModeMetrics)   = m.memBytesTotal / 1e6
+      def mb(bytes: Long)                 = bytes / 1e6
       sb ++= f"${r.dataset}%-10s | ${kqps(r.qlsn)}%8.1f ${kqps(r.qfdl)}%8.1f ${kqps(r.qdol)}%8.1f" +
         f" | ${r.qlsn.latencyMicros}%8.2f ${r.qfdl.latencyMicros}%8.2f ${r.qdol.latencyMicros}%8.2f" +
-        f" | ${mb(r.qlsn)}%8.2f ${mb(r.qfdl)}%8.2f ${mb(r.qdol)}%8.2f" +
+        f" | ${mb(r.qlsn.memBytesTotal)}%8.2f ${mb(r.qfdl.memBytesTotal)}%8.2f ${mb(r.qdol.memBytesTotal)}%8.2f" +
+        f" | ${mb(r.qlsn.memBytesMaxNode)}%8.2f ${mb(r.qfdl.memBytesMaxNode)}%8.2f ${mb(r.qdol.memBytesMaxNode)}%8.2f" +
         f" | ${r.firstCallMs.qlsn}%8.1f ${r.firstCallMs.qfdl}%8.1f ${r.firstCallMs.qdol}%8.1f\n"
     }
     sb.result()

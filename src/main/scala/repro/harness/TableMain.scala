@@ -14,6 +14,15 @@ private[harness] object TableMain {
     try body(spark) finally spark.stop()
   }
 
+  /** The scale `args(0)`, or `default`. A scale that is not a finite
+    * number above 0 would print clamped minimum graphs under it: rejected.
+    */
+  def scale(args: Array[String], default: Double): Double =
+    args.headOption.fold(default) { a =>
+      a.toDoubleOption.filter(s => s > 0 && s < Double.PositiveInfinity).getOrElse(
+        throw new IllegalArgumentException(s"scale must be a finite number above 0, got '$a'"))
+    }
+
   def failed(rules: (Boolean, String)*): Seq[String] = rules.collect { case (false, msg) => msg }
 
   def report[R](title: String, rows: Seq[R])(format: Seq[R] => String, check: Seq[R] => Seq[String]): Unit = {

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalacheck.{Gen, Prop, Properties}
+import repro.dist.NodeLabels
 import repro.graph.{CsrGraph, LongMinHeap, Ranking, TestGraphs}
 import repro.TestUtil._
 
@@ -106,7 +107,7 @@ object CoreProperties extends Properties("repro.core") {
       // the canonical (vertex, hub position) pairs, each with a distance
       // that names its pair, added in random order: each root's run goes to
       // a random one of up to four blocks, its vertices shuffled. The merge
-      // by root in appendRuns does the ordering; toLabeling checks it.
+      // by root in NodeLabels.merge does the ordering; toLabeling checks it.
       val l = SeqPLL.run(g, r).labeling
       def tag(v: Int, p: Int): Long = v.toLong * g.n + p
       val labels = (0 until g.n).flatMap(v =>
@@ -117,9 +118,7 @@ object CoreProperties extends Properties("repro.core") {
         val b = blocks(rnd.nextInt(blocks.length))
         rnd.shuffle(run).foreach { case (v, p, d) => b.add(v, p, d) }
       }
-      val store = new LabelBuffers(g.n, threadSafe = false)
-      store.appendRuns(blocks.map(_.result()), null)
-      val s = store.toLabeling(r)
+      val s = NodeLabels.merge(blocks.map(_.result()), g.n).toLabeling(r)
       val out = (0 until g.n).flatMap(v =>
         (s.offsets(v) until s.offsets(v + 1)).map(k => (v, s.hubPos(k), s.hubDist(k))))
       val ascending = out.zip(out.drop(1)).forall { case (a, b) => a._1 != b._1 || a._2 < b._2 }

@@ -246,75 +246,34 @@ class LabelingSpec extends AnyFunSuite {
     assert(!redundant(r3, 2, 4L, rootDist, lv))
   }
 
-  /** `blocks` blocks over `n` vertices holding the runs of roots
-    * `0 until roots`, each root's run in a block drawn at random, with
-    * labels on distinct vertices at random distances.
-    */
-  private def randomBlocks(rnd: scala.util.Random, blocks: Int, roots: Int, n: Int): Array[NodeLabels] = {
-    val bs = Array.fill(blocks)(new NodeLabels.Builder)
-    for (h <- 0 until roots) {
-      val b = bs(rnd.nextInt(blocks))
-      rnd.shuffle((0 until n).toList).take(rnd.nextInt(n + 1)).foreach(v => b.add(v, h, 1L + rnd.nextInt(20)))
-    }
-    bs.map(_.result())
-  }
-
-  test("appendRuns merges interleaved blocks by root and skips the marked") {
-    val rnd = new scala.util.Random(12)
-    val n   = 9
-    for (trial <- 0 until 20) {
-      val blocks = randomBlocks(rnd, 1 + rnd.nextInt(4), 25, n)
-      val marks = if (trial % 3 == 0) null else blocks.map(b => Array.fill(b.size)(rnd.nextBoolean()))
-      def marked(k: Int, i: Int) = marks != null && marks(k)(i)
-      val t = new LabelBuffers(n, threadSafe = false)
-      val skipped = t.appendRuns(blocks, marks)
-      // every label of the blocks, root by root, in each run's column order
-      val all = for {
-        h <- 0 until 25; k <- blocks.indices; i <- 0 until blocks(k).size if blocks(k).h(i) == h
-      } yield (k, i)
-      assert(skipped == all.count { case (k, i) => marked(k, i) }, s"trial $trial")
-      for (v <- 0 until n) {
-        val want = all.filter { case (k, i) => blocks(k).v(i) == v && !marked(k, i) }
-          .map { case (k, i) => (blocks(k).h(i), blocks(k).d(i)) }
-        val b = t.bufs(v)
-        assert((0 until b.size).map(i => (b.hubs(i), b.dists(i))) == want, s"trial $trial, vertex $v")
-        assert(want.map(_._1) == want.map(_._1).sorted, s"trial $trial, vertex $v: hubs must ascend")
-      }
-      if (marks == null) assert(t.labelCount == blocks.map(_.size).sum)
-    }
-    val t = new LabelBuffers(n, threadSafe = false)
-    val blocks = randomBlocks(rnd, 3, 25, n)
-    assert(t.appendRuns(blocks, null) == 0)
-    assert(t.labelCount == blocks.map(_.size).sum, "null marks append every label")
-  }
-
-  test("markRun marks exactly what DQ_Clean marks, run by run") {
+  test("markVertex marks exactly what DQ_Clean marks, vertex by vertex") {
     val rnd = new scala.util.Random(21)
     val n   = 12
+    var marks, labels = 0L
     for (trial <- 0 until 30) {
       val r = randomRanking(n, trial)
-      // witness lists with distinct hubs at random distances
+      // witness lists with distinct hubs at random distances, in any order
       val witnesses = new LabelBuffers(n, threadSafe = false)
       for (v <- 0 until n; w <- rnd.shuffle((0 until n).toList).take(rnd.nextInt(n)))
         witnesses.add(v, w, 1L + rnd.nextInt(10))
-      val block   = randomBlocks(rnd, 1, n, n).head
-      val marks   = new Array[Boolean](block.size)
+      // candidates: a random set of hubs per vertex, some vertices without
+      val cands = new LabelBuffers(n, threadSafe = false)
+      for (v <- 0 until n; h <- (0 until n).filter(_ => rnd.nextInt(3) == 0)) cands.add(v, h, 1L + rnd.nextInt(20))
+      val cand    = cands.toLabeling(r)
       val scratch = new DijkstraScratch(n)
-      var i = 0
-      while (i < block.size) {
-        val end = Cleaning.markRun(block, i, block.h(i), witnesses, r, scratch, marks)
-        assert(end > i && (i until end).forall(block.h(_) == block.h(i)))
-        assert(end == block.size || block.h(end) != block.h(i), s"trial $trial: the run must end at $end")
-        i = end
-      }
+      val marked  = new scala.collection.mutable.ArrayBuilder.ofInt
+      for (v <- 0 until n) Cleaning.markVertex(v, cand, witnesses, scratch, marked)
+      val got = marked.result().toSeq
       def list(v: Int) = { val b = witnesses.bufs(v); (0 until b.size).map(j => (b.hubs(j), b.dists(j))) }
-      for (j <- 0 until block.size) {
-        val (v, h, delta) = (block.v(j), block.h(j), block.d(j))
-        val dh = list(r.order(h)).toMap
-        val brute = list(v).exists { case (w, dv) => w < h && dh.get(w).exists(dv + _ <= delta) }
-        assert(marks(j) == brute, s"trial $trial, label $j = ($v, $h, $delta)")
-      }
+      val brute = for {
+        v <- 0 until n; k <- cand.offsets(v) until cand.offsets(v + 1)
+        h = cand.hubPos(k); delta = cand.hubDist(k); dh = list(r.order(h)).toMap
+        if list(v).exists { case (w, dv) => w < h && dh.get(w).exists(dv + _ <= delta) }
+      } yield k
+      assert(got == brute, s"trial $trial")
+      marks += got.size; labels += cand.labelCount
     }
+    assert(marks > 0 && marks < labels, s"$marks of $labels marked")
   }
 
   test("commitVertex appends what DQ_Clean keeps, in hub order, and leaves local as it was") {
@@ -346,18 +305,5 @@ class LabelingSpec extends AnyFunSuite {
         assert((0 until n).map(list(local, _)) == before, s"trial $trial: local must not change")
       }
     }
-  }
-
-  test("markRun stops at its run's end and marks nothing for an empty run") {
-    val block = new NodeLabels(Array(0, 1, 2, 0, 1), Array(1, 1, 1, 3, 3), Array(5L, 5L, 5L, 5L, 5L))
-    val witnesses = new LabelBuffers(4, threadSafe = false)
-    for (v <- 0 until 4) witnesses.add(v, 0, 0L) // hub 0 witnesses every label
-    val scratch = new DijkstraScratch(4)
-    val marks = new Array[Boolean](block.size)
-    assert(Cleaning.markRun(block, 0, 1, witnesses, rank, scratch, marks) == 3)
-    assert(marks.toSeq == Seq(true, true, true, false, false))
-    assert(Cleaning.markRun(block, 3, 2, witnesses, rank, scratch, marks) == 3, "no run of 2 at 3")
-    assert(Cleaning.markRun(block, 5, 3, witnesses, rank, scratch, marks) == 5, "no run past the end")
-    assert(marks.toSeq == Seq(true, true, true, false, false))
   }
 }

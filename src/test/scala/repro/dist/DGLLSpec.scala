@@ -1,7 +1,7 @@
 package repro.dist
 
 import repro.{SparkSpec, TestUtil}
-import repro.core.SeqPLL
+import repro.core.{DijkstraScratch, PrunedDijkstra, SeqPLL}
 import repro.graph.{GraphGen, Ranking, TestGraphs}
 import repro.TestUtil._
 
@@ -58,6 +58,47 @@ class DGLLSpec extends SparkSpec {
     assert(stats.perNodeLabels.sum == l.labelCount)
     for (i <- 0 until q) assert(stats.perNodeLabels(i) == l.hubPos.count(_ % q == i), s"node $i")
   }
+
+  for (q <- Seq(1, 3, 16))
+    test(s"a superstep's OR of node marks is one DQ_Clean pass over all its witnesses (q=$q)") {
+      val sc = spark.sparkContext
+      val g  = GraphGen.preferentialAttachment(120, 4, seed = 57)
+      val r  = Ranking.byDegree(g)
+      val n  = g.n
+      var marked = 0
+      // switch 0 is DGLL's first superstep; at 24 a Hybrid has planted the
+      // roots before it, and node i cleans with the block it planted
+      for (switch <- Seq(0, 24)) {
+        val (prior, _) = SimCluster.round(sc, q, 0, switch) { _ =>
+          val scratch = new DijkstraScratch(n)
+          (p, sink) => PlantTree.build(g, r, r.order(p), null, scratch, sink)
+        }
+        // one superstep over the roots left, pruned as Hybrid prunes its first
+        val (candidates, _) = SimCluster.round(sc, q, switch, n) { pid =>
+          val own     = NodeLabels.merge(Array(prior(pid)), n)
+          val scratch = new DijkstraScratch(n)
+          (p, sink) => PrunedDijkstra.buildTree(g, r, r.order(p), Array(own), rankQueries = true, scratch,
+            sink = (v, d) => { own.add(v, p, d); sink(v, d) })
+        }
+        val cand    = NodeLabels.merge(candidates, n).toLabeling(r)
+        val bcPrior = sc.broadcast(prior)
+        val marks   = DGLL.cleanCandidates(spark, bcPrior, cand, q)
+        bcPrior.destroy()
+        // every witness in one place: each node's planted block and every candidate
+        val lists = Array.fill(n)(scala.collection.mutable.Map.empty[Int, Long])
+        for (b <- prior ++ candidates; i <- 0 until b.size) lists(b.v(i))(b.h(i)) = b.d(i)
+        for (v <- 0 until n; k <- cand.offsets(v) until cand.offsets(v + 1)) {
+          val h = cand.hubPos(k); val delta = cand.hubDist(k); val lh = lists(r.order(h))
+          val brute = lists(v).exists { case (w, dv) => w < h && lh.get(w).exists(dv + _ <= delta) }
+          assert(marks(k) == brute, s"switch $switch: label $k = ($v, $h, $delta)")
+        }
+        assert(marks.length == cand.labelCount)
+        marked += marks.count(identity)
+      }
+      // one node's trees prune with every label before them, as seqPLL's do
+      if (q == 1) assert(marked == 0, s"$marked redundant on one node")
+      else assert(marked > 0, "no candidate was redundant")
+    }
 
   test("superstepSizes grow geometrically and cover the queue") {
     val sizes = DGLL.superstepSizes(1000, beta = 8)

@@ -27,6 +27,33 @@ class SimClusterSpec extends SparkSpec {
     }
   }
 
+  test("NodeLabels.merge merges interleaved blocks by root, each list ascending") {
+    val rnd = new scala.util.Random(12)
+    val n   = 9
+    for (trial <- 0 until 20) {
+      // the runs of roots 0 until 25, each in a block drawn at random, with
+      // labels on distinct vertices at random distances
+      val builders = Array.fill(1 + rnd.nextInt(4))(new NodeLabels.Builder)
+      for (h <- 0 until 25) {
+        val b = builders(rnd.nextInt(builders.length))
+        rnd.shuffle((0 until n).toList).take(rnd.nextInt(n + 1)).foreach(v => b.add(v, h, 1L + rnd.nextInt(20)))
+      }
+      val blocks = builders.map(_.result())
+      val t = NodeLabels.merge(blocks, n)
+      // every label of the blocks, root by root, in each run's column order
+      val all = for {
+        h <- 0 until 25; k <- blocks.indices; i <- 0 until blocks(k).size if blocks(k).h(i) == h
+      } yield (k, i)
+      for (v <- 0 until n) {
+        val want = all.filter { case (k, i) => blocks(k).v(i) == v }.map { case (k, i) => (blocks(k).h(i), blocks(k).d(i)) }
+        val b = t.bufs(v)
+        assert((0 until b.size).map(i => (b.hubs(i), b.dists(i))) == want, s"trial $trial, vertex $v")
+        assert(want.map(_._1) == want.map(_._1).sorted, s"trial $trial, vertex $v: hubs must ascend")
+      }
+      assert(t.labelCount == blocks.map(_.size).sum, s"trial $trial")
+    }
+  }
+
   test("runs leave no persisted RDD behind") {
     val sc = spark.sparkContext
     val g  = GraphGen.grid(7, 7, seed = 63)

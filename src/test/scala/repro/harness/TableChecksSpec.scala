@@ -42,10 +42,11 @@ class TableChecksSpec extends AnyFunSuite {
   }
 
   test("Table4.check: QLSN = q x QFDL < QDOL < QLSN memory, QLSN latency below QDOL's, positive throughput") {
-    def mode(name: String, latency: Double, mem: Long) =
-      QueryModes.ModeMetrics(name, Array.empty[Long], 1e5, latency, mem, mem)
-    val ok = Table4.Row("cal-lite", mode("QLSN", 1.0, Table4.Q * 1000L), mode("QFDL", 20.3, 1000L),
-      mode("QDOL", 7.0, 5300L), Table4.FirstCallMs(80.0, 60.0, 40.0))
+    // each mode's total and largest node: a QLSN node holds all 1000 B
+    def mode(name: String, latency: Double, mem: Long, maxNode: Long) =
+      QueryModes.ModeMetrics(name, Array.empty[Long], 1e5, latency, mem, maxNode)
+    val ok = Table4.Row("cal-lite", mode("QLSN", 1.0, Table4.Q * 1000L, 1000L), mode("QFDL", 20.3, 1000L, 80L),
+      mode("QDOL", 7.0, 5300L, 400L), Table4.FirstCallMs(80.0, 60.0, 40.0))
     // the rule that QDOL's part pairs fit q nodes reads the constant q, not
     // the rows, so no row set breaks it
     assert(Table4.check(Seq(ok)).isEmpty, Table4.check(Seq(ok)))
@@ -55,10 +56,25 @@ class TableChecksSpec extends AnyFunSuite {
       "cal-lite: QDOL memory not above QFDL's")
     assertOnly(Table4.check(Seq(ok.copy(qdol = ok.qdol.copy(memBytesTotal = 16000L)))),
       "cal-lite: QDOL memory not below QLSN's")
+    assertOnly(Table4.check(Seq(ok.copy(qfdl = ok.qfdl.copy(memBytesMaxNode = 400L)))),
+      "cal-lite: QFDL's largest node not below QDOL's")
+    assertOnly(Table4.check(Seq(ok.copy(qlsn = ok.qlsn.copy(memBytesMaxNode = 400L)))),
+      "cal-lite: QDOL's largest node not below QLSN's")
     assertOnly(Table4.check(Seq(ok.copy(qlsn = ok.qlsn.copy(latencyMicros = 7.0)))),
       "cal-lite: QLSN latency not below QDOL's")
     assertOnly(Table4.check(Seq(ok.copy(qfdl = ok.qfdl.copy(throughputQps = 0.0)))),
       "cal-lite: a throughput is not positive")
+  }
+
+  test("every table entrypoint rejects a scale that is not a finite number above 0") {
+    for (bad <- Seq("-1", "0", "NaN", "Infinity", "-Infinity", "1e400", "x")) {
+      val e = intercept[IllegalArgumentException](TableMain.scale(Array(bad), 1.0))
+      assert(e.getMessage.contains(s"'$bad'"), e.getMessage)
+      for (table <- Seq[Array[String] => Unit](Table2.main, Table3.main, Table4.main, DistScaling.main))
+        intercept[IllegalArgumentException](table(Array(bad)))
+    }
+    assert(TableMain.scale(Array.empty, 0.5) == 0.5)
+    assert(TableMain.scale(Array("0.02"), 1.0) == 0.02)
   }
 
   test("DistScaling.check: q-invariant CHL ALS, PLaNT silent, DparaPLL no smaller and growing, Hybrid bcast <= DGLL") {

@@ -3,6 +3,9 @@
 
     python3 tools/bench_record.py --workload road-build \\
         --parent ../parent --change . --seeds 301-310 --seconds 30
+    python3 tools/bench_record.py --workload sf-dist \\
+        --parent ../parent --change . --seeds 301-310 --seconds 30 \\
+        --traced 3 --layer dist.hybrid.wall_ms,dist.dgll.wall_ms
 
 For each seed it runs `python3 chlbench/run.py --trace 0` once in the
 parent checkout and once in the change checkout, back to back, so that a
@@ -20,6 +23,12 @@ from its own sources. It then appends one record to BENCH_<workload>.json
   - per metric: the number of pairs the change wins, in the metric's
     better direction;
   - the host's core count.
+
+With --traced K --layer a,b,... it then runs K more alternating pairs with
+`--trace 1`, on the first K seeds (repeated if fewer), and adds to the
+record, per side, the median, min and max over those runs of each named
+per-layer metric of BENCHMARK.json, and each traced pair's values. A name
+that BENCHMARK.json does not list fails before any run starts.
 
 A run that fails (nonzero exit, no result line, or failed > 0) stops the
 recording with an error; nothing is appended.
@@ -77,11 +86,11 @@ def jvm_opts(path):
     return list(module.JVM_OPTS)
 
 
-def run_once(path, workload, seed, seconds):
-    """One untraced chlbench run in checkout `path`: (metrics, steal share)."""
+def run_once(path, workload, seed, seconds, trace="0"):
+    """One chlbench run in checkout `path`: (metrics, steal share)."""
     s0, t0 = cpu_times()
     r = subprocess.run([sys.executable, "chlbench/run.py", "--workload", workload, "--seed", str(seed),
-                        "--seconds", str(seconds), "--trace", "0"],
+                        "--seconds", str(seconds), "--trace", trace],
                        cwd=path, capture_output=True, text=True)
     s1, t1 = cpu_times()
     lines = r.stdout.strip().splitlines()
@@ -102,6 +111,10 @@ def quartiles(xs):
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def spread(xs):
+    return {"median": statistics.median(xs), "min": min(xs), "max": max(xs)}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True)
@@ -110,23 +123,42 @@ def main():
     ap.add_argument("--seeds", required=True, help="e.g. 301-310 or 5,7,9")
     ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--out", help="default: BENCH_<workload>.json")
+    ap.add_argument("--traced", type=int, default=0, help="traced pairs run after the untraced ones")
+    ap.add_argument("--layer", default="", help="per-layer metrics the traced pairs record, e.g. a,b")
     args = ap.parse_args()
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
-        end_to_end = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+        bench = json.load(f)
+    end_to_end = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    layer = [x for x in args.layer.split(",") if x]
+    unknown = sorted(set(layer) - {m["name"] for m in bench["per_layer"]})
+    if unknown:
+        sys.exit(f"bench_record: not a per-layer metric of BENCHMARK.json: {', '.join(unknown)}")
+    if args.traced < 0 or bool(args.traced) != bool(layer):
+        sys.exit("bench_record: --traced K (K > 0) and --layer name,... go together")
+    seeds = parse_seeds(args.seeds)
     sides = {"parent": args.parent, "change": args.change}
-    pairs = []
-    for i, seed in enumerate(parse_seeds(args.seeds)):
-        pair = {"seed": seed, "first": "parent" if i % 2 == 0 else "change"}
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            path = sides[side]
-            metrics, steal = run_once(path, args.workload, seed, args.seconds)
-            pair[side] = {"metrics": {m: metrics[m] for m in end_to_end}, "steal_share": steal}
-            print(f"bench_record: seed {seed} {side}: " +
-                  ", ".join(f"{m} {metrics[m]:.4g}" for m in end_to_end) + f", steal {steal:.3f}",
-                  file=sys.stderr)
-        pairs.append(pair)
+
+    def run_pairs(seeds, trace, names):
+        pairs = []
+        for i, seed in enumerate(seeds):
+            pair = {"seed": seed, "first": "parent" if i % 2 == 0 else "change"}
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                path = sides[side]
+                metrics, steal = run_once(path, args.workload, seed, args.seconds, trace)
+                missing = [m for m in names if m not in metrics]
+                if missing:
+                    sys.exit(f"bench_record: run in {path} (seed {seed}) reported no {', '.join(missing)}")
+                pair[side] = {"metrics": {m: metrics[m] for m in names}, "steal_share": steal}
+                print(f"bench_record: seed {seed} {side}{' traced' if trace == '1' else ''}: " +
+                      ", ".join(f"{m} {metrics[m]:.4g}" for m in names) + f", steal {steal:.3f}",
+                      file=sys.stderr)
+            pairs.append(pair)
+        return pairs
+
+    pairs = run_pairs(seeds, "0", list(end_to_end))
+    traced = run_pairs([seeds[i % len(seeds)] for i in range(args.traced)], "1", layer)
 
     record = {
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
@@ -140,6 +172,10 @@ def main():
         record[side] = checkout_info(path)
         record[side]["metrics"] = {m: quartiles([p[side]["metrics"][m] for p in pairs]) for m in end_to_end}
         record[side]["steal_share"] = quartiles([p[side]["steal_share"] for p in pairs])
+    if traced:
+        record["traced_pairs"] = traced
+        for side in sides:
+            record[side]["per_layer"] = {m: spread([p[side]["metrics"][m] for p in traced]) for m in layer}
     for m, better in end_to_end.items():
         sign = 1 if better == "higher" else -1
         record["wins"][m] = sum(sign * (p["change"]["metrics"][m] - p["parent"]["metrics"][m]) > 0 for p in pairs)
