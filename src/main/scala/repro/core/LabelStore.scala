@@ -48,15 +48,15 @@ final class LabelBuffers(val n: Int, val threadSafe: Boolean) extends Serializab
   }
 
   /** Distance query against this table: true iff some hub of `v` also in
-    * the root snapshot `rootDist` gives a path `<= delta`.
+    * the root snapshot `rootDist` gives a path `<= delta`. A hub the root
+    * lacks reads `Dijkstra.Inf` there, so its sum never meets `delta`.
     */
   def covered(v: Int, rootDist: Array[Long], delta: Long): Boolean = {
     val b = bufs(v)
     def scan(): Boolean = {
       var i = 0
       while (i < b.size) {
-        val d2 = rootDist(b.hubs(i))
-        if (d2 >= 0 && b.dists(i) + d2 <= delta) return true
+        if (b.dists(i) + rootDist(b.hubs(i)) <= delta) return true
         i += 1
       }
       false
@@ -121,7 +121,8 @@ final class LabelBuffers(val n: Int, val threadSafe: Boolean) extends Serializab
 object Cleaning {
   /** True iff a witness for `(h, delta)` lies among the first `lenH`
     * entries of `(hubsH, distsH)`, a part of `L_h`, given `rootDist`, the
-    * snapshot of `L_v`.
+    * snapshot of `L_v`. A hub `v` lacks reads `Dijkstra.Inf` there, so it is
+    * never a witness.
     */
   def isRedundant(
       h: Int,
@@ -132,7 +133,7 @@ object Cleaning {
     var i = 0
     while (i < lenH) {
       val w = hubsH(i)
-      if (w < h && rootDist(w) >= 0 && distsH(i) + rootDist(w) <= delta) return true
+      if (w < h && distsH(i) + rootDist(w) <= delta) return true
       i += 1
     }
     false

@@ -8,15 +8,18 @@ import repro.graph.{CsrGraph, Dijkstra, LongMinHeap, Ranking}
   *
   * It also holds the dense root snapshot both label-set queries read (as in
   * PLL): `rootDist(h)` is the root's distance to the hub at rank position
-  * `h`, `-1` where the root has no label for it. [[reset]] clears only the entries set since
-  * the last reset, so a stale entry never leaks into the next tree.
+  * `h`, and [[Dijkstra.Inf]] where the root has no label for it, so a
+  * reader tests an entry with one add and one compare: `d + rootDist(h)`
+  * cannot overflow and exceeds every distance a graph admits.
+  * [[reset]] clears only the entries set since the last reset, so a stale
+  * entry never leaks into the next tree.
   */
 final class DijkstraScratch(n: Int) {
   val dist: Array[Long] = Array.fill(n)(Dijkstra.Inf)
   val anc: Array[Int]   = new Array[Int](n)       // PLaNT ancestor array
   val settled: Array[Boolean] = new Array[Boolean](n)
   val heap = new LongMinHeap(64)
-  val rootDist: Array[Long] = Array.fill(n)(-1L)
+  val rootDist: Array[Long] = Array.fill(n)(Dijkstra.Inf)
   // a vertex is touched (and a hub snapshotted) at most once per run
   private val touched = new Array[Int](n)
   private var nTouched = 0
@@ -28,7 +31,7 @@ final class DijkstraScratch(n: Int) {
 
   /** Records the root label `(h, d)` in the snapshot. */
   def snap(h: Int, d: Long): Unit = {
-    if (rootDist(h) < 0) { snapped(nSnapped) = h; nSnapped += 1 }
+    if (rootDist(h) == Dijkstra.Inf) { snapped(nSnapped) = h; nSnapped += 1 }
     rootDist(h) = d
   }
 
@@ -46,7 +49,7 @@ final class DijkstraScratch(n: Int) {
     }
     nTouched = 0
     i = 0
-    while (i < nSnapped) { rootDist(snapped(i)) = -1L; i += 1 }
+    while (i < nSnapped) { rootDist(snapped(i)) = Dijkstra.Inf; i += 1 }
     nSnapped = 0
     heap.clear()
   }
@@ -62,9 +65,11 @@ object PrunedDijkstra {
     *
     * @param tables      label tables consulted by distance queries; `L_root`
     *                    from every table is copied once up front into the
-    *                    dense snapshot `scratch.rootDist`, and `v` is covered
-    *                    iff any table's `L_v` meets it within the distance,
-    *                    one array lookup per label, like PLL's `L_h` array
+    *                    dense snapshot `scratch.rootDist` (`Dijkstra.Inf`
+    *                    for a hub the root lacks), and `v` is covered iff
+    *                    any table's `L_v` meets it within the distance: one
+    *                    lookup, add and compare per label, like PLL's `L_h`
+    *                    array
     * @param rankQueries prune (and withhold labels) at vertices ranked
     *                    above the root — LCC's crucial addition; paraPLL
     *                    runs with this off

@@ -7,7 +7,12 @@ package repro.graph
   */
 object Dijkstra {
 
-  /** Sentinel for "unreachable"; safely addable without overflow. */
+  /** Sentinel for "unreachable", and for "no label" in the root snapshot
+    * of `DijkstraScratch`. Every admitted distance is below
+    * `LongMinHeap.MaxDistance` (2^42, checked by [[CsrGraph]] at ingest),
+    * so its sum with `Inf` stays below `Long.MaxValue` and exceeds every
+    * admitted distance.
+    */
   val Inf: Long = Long.MaxValue / 4
 
   /** Single-source shortest distances from `src` (plain binary-heap

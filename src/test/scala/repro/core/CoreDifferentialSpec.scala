@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
-import repro.graph.{CsrGraph, GraphGen, Ranking, TestGraphs}
+import repro.graph.{CsrGraph, Dijkstra, GraphGen, LongMinHeap, Ranking, TestGraphs}
 import repro.TestUtil._
 
 /** GLL and LCC against SeqPLL on graphs large enough that concurrent trees
@@ -83,6 +83,46 @@ class CoreDifferentialSpec extends AnyFunSuite {
         TestUtil.assertSameLabels(chl, r.labeling, what)
         assert(r.labelsGenerated == r.labeling.labelCount + r.redundantRemoved, what)
       }
+    }
+  }
+
+  // Int weights cap a graph's distances near maxWeight * n, and CsrGraph
+  // admits maxWeight * n + 1 < 2^42 (LongMinHeap.MaxDistance). At weight
+  // Int.MaxValue that is a path of 2,048 vertices, whose end-to-end distance
+  // is 2^42 - 2^31 - 2,047: the longest any admitted graph can have with
+  // these weights. ReferenceCHL is cubic, so it checks a 5x20 grid of the
+  // same weight; on the path the reference is the CHL's definition itself:
+  // `h` is a hub of `v` iff `h` outranks every other vertex between them.
+  test("at the ingest distance limit SeqPLL, GLL and LCC give the CHL, and queries equal Dijkstra") {
+    val w    = Int.MaxValue
+    val path = CsrGraph.fromEdges(2048, (1 until 2048).map(v => (v - 1, v, w)))
+    assert(path.distanceBound < LongMinHeap.MaxDistance && path.distanceBound + w >= LongMinHeap.MaxDistance)
+    assert(Dijkstra.sssp(path, 0)(2047) == 2047L * w)
+    val grid = CsrGraph.fromEdges(100, (0 until 100).flatMap { v =>
+      (if (v % 20 < 19) Seq((v, v + 1, w)) else Nil) ++ (if (v < 80) Seq((v, v + 20, w)) else Nil) })
+    def pathChl(rank: Ranking): Labeling = {
+      val ts = Set.newBuilder[(Int, Int, Long)]
+      for (v <- 0 until path.n; dir <- Seq(-1, 1)) {
+        var top = -1 // the highest rank from v to u
+        var u = v
+        while (u >= 0 && u < path.n) {
+          if (rank(u) > top) { top = rank(u); ts += ((v, u, math.abs(v - u).toLong * w)) }
+          u += dir
+        }
+      }
+      fromTriples(rank, ts.result())
+    }
+    for ((name, g, seed) <- Seq(("2048-vertex path", path, 3), ("5x20 grid", grid, 4))) {
+      val rank     = randomRanking(g.n, seed)
+      val expected = if (g eq path) pathChl(rank) else ReferenceCHL(g, rank)
+      val chl      = SeqPLL.run(g, rank).labeling
+      TestUtil.assertSameLabels(expected, chl, s"SeqPLL, $name")
+      assertCover(chl, g)
+      for ((what, r) <- Seq(
+          "GLL, 1 thread"  -> GLL.run(g, rank, 1, alpha = 4.0),
+          "GLL, 4 threads" -> GLL.run(g, rank, 4, alpha = 4.0),
+          "LCC, 4 threads" -> GLL.runLCC(g, rank, 4)))
+        TestUtil.assertSameLabels(expected, r.labeling, s"$what, $name")
     }
   }
 

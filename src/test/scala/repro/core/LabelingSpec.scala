@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.{Dijkstra, GraphGen, Ranking}
+import repro.graph.{Dijkstra, GraphGen, LongMinHeap, Ranking}
 import repro.TestUtil._
 
 class LabelingSpec extends AnyFunSuite {
@@ -244,6 +244,24 @@ class LabelingSpec extends AnyFunSuite {
     val lv = (Array(2, 0), Array(4L, 1L))
     val rootDist = snapshot(r3, Array(2, 0), Array(0L, 3L))
     assert(!redundant(r3, 2, 4L, rootDist, lv))
+  }
+
+  test("a hub the snapshot lacks neither covers nor witnesses, even at the ingest distance limit") {
+    val far = LongMinHeap.MaxDistance - 1 // the largest distance CsrGraph admits
+    // the snapshot either lacks hub 0 (but holds hub 1) or holds hub 0 at 0
+    val lacks = new DijkstraScratch(2); lacks.snap(1, 0L)
+    val holds = new DijkstraScratch(2); holds.snap(0, 0L)
+    // distance query: L_1 = {(0, far)}
+    val table = new LabelBuffers(2, threadSafe = false)
+    table.add(1, 0, far)
+    assert(!table.covered(1, lacks.rootDist, far))
+    assert(table.covered(1, holds.rootDist, far)) // far + 0 meets delta exactly
+    assert(!table.covered(1, holds.rootDist, far - 1))
+    // DQ_Clean of label (1, far): L_h = {(0, far)}, and hub 0 outranks hub 1
+    val (hubsH, distsH) = (Array(0), Array(far))
+    assert(!Cleaning.isRedundant(1, far, lacks.rootDist, hubsH, distsH, 1))
+    assert(Cleaning.isRedundant(1, far, holds.rootDist, hubsH, distsH, 1))
+    assert(!Cleaning.isRedundant(1, far - 1, holds.rootDist, hubsH, distsH, 1))
   }
 
   test("markVertex marks exactly what DQ_Clean marks, vertex by vertex") {

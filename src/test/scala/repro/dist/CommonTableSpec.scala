@@ -65,7 +65,9 @@ class CommonTableSpec extends AnyFunSuite {
       val root = r.order(p)
       scratch.reset()
       planted.appendRootSnapshot(root, scratch)
-      for (h <- 0 until g.n if scratch.rootDist(h) >= 0)
+      val len = scratch.sortSnapped()
+      assert(len == planted.bufs(root).size, s"root $root")
+      for (h <- scratch.snapped.take(len))
         assert(h < p, s"hub ${r.order(h)} (position $h) in the snapshot of root $root")
     }
   }
