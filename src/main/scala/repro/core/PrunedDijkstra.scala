@@ -6,6 +6,10 @@ import repro.graph.{CsrGraph, Dijkstra, LongMinHeap, Ranking}
   * the paper: initialization only touches elements modified by the previous
   * run.
   *
+  * No run keeps a settled flag: weights are positive and a push strictly
+  * lowers `dist(v)`, so exactly one heap entry of `v` has `d == dist(v)`,
+  * and that test alone settles `v` once.
+  *
   * It also holds the dense root snapshot both label-set queries read (as in
   * PLL): `rootDist(h)` is the root's distance to the hub at rank position
   * `h`, and [[Dijkstra.Inf]] where the root has no label for it, so a
@@ -16,8 +20,7 @@ import repro.graph.{CsrGraph, Dijkstra, LongMinHeap, Ranking}
   */
 final class DijkstraScratch(n: Int) {
   val dist: Array[Long] = Array.fill(n)(Dijkstra.Inf)
-  val anc: Array[Int]   = new Array[Int](n)       // PLaNT ancestor array
-  val settled: Array[Boolean] = new Array[Boolean](n)
+  val anc: Array[Int]   = new Array[Int](n)       // PLaNT: rank of v's highest-ranked ancestor
   val heap = new LongMinHeap(64)
   val rootDist: Array[Long] = Array.fill(n)(Dijkstra.Inf)
   // a vertex is touched (and a hub snapshotted) at most once per run
@@ -44,7 +47,7 @@ final class DijkstraScratch(n: Int) {
     var i = 0
     while (i < nTouched) {
       val v = touched(i)
-      dist(v) = Dijkstra.Inf; settled(v) = false
+      dist(v) = Dijkstra.Inf
       i += 1
     }
     nTouched = 0
@@ -99,8 +102,7 @@ object PrunedDijkstra {
 
     while (heap.nonEmpty) {
       val d = heap.topDist; val v = heap.topVertex; heap.pop()
-      if (d == dist(v) && !scratch.settled(v)) {
-        scratch.settled(v) = true
+      if (d == dist(v)) {
         explored += 1
         val rankPruned = rankQueries && rank(v) > rank(root)
         if (!rankPruned && !covered(tables, v, rootDist, d)) {

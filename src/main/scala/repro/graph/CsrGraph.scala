@@ -3,9 +3,10 @@ package repro.graph
 /** Weighted graph in compressed-sparse-row form.
   *
   * Vertices are `0 until n`. For undirected graphs every edge is stored in
-  * both directions, so `nbrs.length == 2*m`. Weights are positive integers
-  * (the paper assigns uniform integer weights in `[1, sqrt(n))` to its
-  * unweighted sources); distances are accumulated in `Long`.
+  * both directions, so `nbrs.length == 2*m`. Weights are positive integers,
+  * checked at construction (the paper assigns uniform integer weights in
+  * `[1, sqrt(n))` to its unweighted sources); distances are accumulated in
+  * `Long`.
   *
   * @param n       number of vertices
   * @param offsets CSR row pointers, length `n+1`
@@ -30,10 +31,20 @@ final class CsrGraph(
   /** Out-degree of `v`. */
   def degree(v: Int): Int = offsets(v + 1) - offsets(v)
 
-  /** Maximum edge weight, 0 for an edgeless graph. */
+  /** Maximum edge weight, 0 for an edgeless graph. The same scan checks
+    * every arc: its head must be a vertex and its weight positive, since no
+    * Dijkstra here keeps a settled flag (see `DijkstraScratch`): a settled
+    * vertex must never be reached again at its own distance.
+    */
   val maxWeight: Int = {
     var m = 0; var i = 0
-    while (i < wts.length) { if (wts(i) > m) m = wts(i); i += 1 }
+    while (i < wts.length) {
+      val w = wts(i); val u = nbrs(i)
+      if (u < 0 || u >= n) throw new IllegalArgumentException(s"arc $i heads to $u, out of range for n=$n")
+      if (w <= 0) throw new IllegalArgumentException(s"edge weight must be positive, got $w on arc $i to $u")
+      if (w > m) m = w
+      i += 1
+    }
     m
   }
 
@@ -60,9 +71,8 @@ object CsrGraph {
   def fromEdges(n: Int, edges: Iterable[(Int, Int, Int)], undirected: Boolean = true): CsrGraph = {
     val deg = new Array[Int](n)
     var cnt = 0
-    edges.foreach { case (u, v, w) =>
+    edges.foreach { case (u, v, _) =>
       require(u >= 0 && u < n && v >= 0 && v < n, s"edge ($u,$v) out of range for n=$n")
-      require(w > 0, s"edge weight must be positive, got $w on ($u,$v)")
       if (u != v) {
         deg(u) += 1; cnt += 1
         if (undirected) { deg(v) += 1; cnt += 1 }

@@ -15,8 +15,8 @@ object Dijkstra {
     */
   val Inf: Long = Long.MaxValue / 4
 
-  /** Single-source shortest distances from `src` (plain binary-heap
-    * Dijkstra with lazy deletion).
+  /** Single-source shortest distances from `src` (plain Dijkstra on
+    * [[LongMinHeap]] with lazy deletion).
     */
   def sssp(g: CsrGraph, src: Int): Array[Long] = {
     val dist = Array.fill[Long](g.n)(Inf)
@@ -38,9 +38,17 @@ object Dijkstra {
   }
 }
 
-/** Array-backed binary min-heap of (distance, vertex) pairs packed into a
-  * single Long (`dist << 21 | v`). Lazy deletion: callers push duplicates
-  * and skip stale pops by comparing against their dist array.
+/** Array-backed 4-ary min-heap of (distance, vertex) pairs packed into a
+  * single Long (`dist << 21 | v`), so it pops the minimum of the total order
+  * on `(dist, vertex)`: ties on distance go to the smaller vertex. Lazy
+  * deletion: callers push duplicates and skip stale pops by comparing
+  * against their dist array.
+  *
+  * Four children per node halve the depth a push climbs; PLaNT's trees push
+  * about twice as often as they pop, since early termination leaves most of
+  * the frontier in the heap. Both sifts move a hole instead of swapping:
+  * push moves parents down until the new key fits, pop moves the smallest
+  * child up until the last key fits.
   *
   * Packing limits: vertices `< 2^21` and distances `< 2^42`, checked once
   * for every graph when its [[CsrGraph]] is built, not on each push.
@@ -58,29 +66,36 @@ final class LongMinHeap(initialCapacity: Int) {
 
   def push(dist: Long, v: Int): Unit = {
     if (size == arr.length) arr = java.util.Arrays.copyOf(arr, arr.length * 2)
-    var i = size
-    arr(i) = (dist << VBits) | v
+    val a   = arr
+    val key = (dist << VBits) | v
+    var i   = size
     size += 1
-    while (i > 0 && arr((i - 1) / 2) > arr(i)) {
-      val p = (i - 1) / 2
-      val t = arr(p); arr(p) = arr(i); arr(i) = t
+    while (i > 0 && a((i - 1) >> 2) > key) {
+      val p = (i - 1) >> 2
+      a(i) = a(p)
       i = p
     }
+    a(i) = key
   }
 
   def pop(): Unit = {
     size -= 1
-    arr(0) = arr(size)
-    var i = 0
-    var done = false
-    while (!done) {
-      val l = 2 * i + 1; val r = l + 1
-      var s = i
-      if (l < size && arr(l) < arr(s)) s = l
-      if (r < size && arr(r) < arr(s)) s = r
-      if (s == i) done = true
-      else { val t = arr(s); arr(s) = arr(i); arr(i) = t; i = s }
+    val a   = arr
+    val n   = size
+    val key = a(n)
+    var i   = 0
+    var c   = 1 // first child of i
+    while (c < n) {
+      // the smallest of the up to four children c .. c+3
+      var m  = c
+      var mk = a(c)
+      val end = if (c + 4 < n) c + 4 else n
+      var j = c + 1
+      while (j < end) { val jk = a(j); if (jk < mk) { m = j; mk = jk }; j += 1 }
+      if (mk < key) { a(i) = mk; i = m; c = (i << 2) + 1 }
+      else c = n
     }
+    a(i) = key
   }
 
   def clear(): Unit = size = 0

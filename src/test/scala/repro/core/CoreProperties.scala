@@ -37,6 +37,42 @@ object CoreProperties extends Properties("repro.core") {
       ok && cnt == items.size
     }
 
+  // Dijkstra's access pattern: bursts of 1–4 pushes, each at a distance
+  // above the last pop's (weights are positive), then fewer pops than
+  // pushes, then a drain. Under it a
+  // heap that pops the minimum of the (dist, vertex) order pops exactly the
+  // sorted sequence of every key pushed; explored counts, Ψ and the Hybrid
+  // switch rest on that order. Small runs cover sizes 0–21, the first three
+  // levels of the 4-ary heap; large runs grow from capacity 4 past 1,000
+  // entries, since each burst leaves at least one more entry behind.
+  property("heap pops exactly the sorted (dist, vertex) keys under Dijkstra's pattern") =
+    Prop.forAll(
+      Gen.oneOf(Gen.choose(0, 21), Gen.choose(4004, 5000)),
+      Gen.oneOf(0L, LongMinHeap.MaxDistance - 100000),
+      Gen.oneOf(8, LongMinHeap.MaxVertices),
+      Gen.choose(0L, 1000000L),
+    ) { (total, base, vertices, seed) =>
+      val rnd    = new scala.util.Random(seed)
+      val h      = new LongMinHeap(4)
+      val pushed = scala.collection.mutable.ArrayBuffer.empty[(Long, Int)]
+      val popped = scala.collection.mutable.ArrayBuffer.empty[(Long, Int)]
+      var last = base; var size = 0; var peak = 0
+      def pop(): Unit = {
+        last = h.topDist; popped += ((last, h.topVertex)); h.pop(); size -= 1
+      }
+      while (pushed.size < total) {
+        val burst = math.min(1 + rnd.nextInt(4), total - pushed.size)
+        for (_ <- 0 until burst) {
+          val key = (last + 1 + rnd.nextInt(3), rnd.nextInt(vertices))
+          h.push(key._1, key._2); pushed += key; size += 1
+        }
+        peak = math.max(peak, size)
+        for (_ <- 0 until rnd.nextInt(burst)) pop()
+      }
+      while (h.nonEmpty) pop()
+      popped == pushed.sorted && peak >= total / 4
+    }
+
   property("byScore ranking is a permutation ordered by score") =
     Prop.forAll(Gen.nonEmptyListOf(Gen.choose(0.0, 100.0))) { scores =>
       val r = Ranking.byScore(scores.toArray)

@@ -2,11 +2,20 @@ package repro.dist
 
 import repro.{SparkSpec, TestUtil}
 import scala.collection.mutable.ArrayBuffer
-import repro.core.{DijkstraScratch, LabelBuffers, SeqPLL}
-import repro.graph.{GraphGen, Ranking}
+import repro.core.{DijkstraScratch, LabelBuffers, ReferencePlant, SeqPLL}
+import repro.graph.{CsrGraph, GraphGen, Ranking, TestGraphs}
 import repro.TestUtil._
 
 class PlantSpec extends SparkSpec {
+
+  /** The common label table: the final labels of the top-`eta` hubs. */
+  private def topHubTable(g: CsrGraph, r: Ranking, eta: Int): LabelBuffers = {
+    val seq = SeqPLL.run(g, r).labeling
+    val hc  = new LabelBuffers(g.n, threadSafe = false)
+    for (v <- 0 until g.n; k <- seq.offsets(v) until seq.offsets(v + 1) if seq.hubPos(k) < eta)
+      hc.add(v, seq.hubPos(k), seq.hubDist(k))
+    hc
+  }
 
   for (seed <- 1 to 16)
     test(s"PLaNT outputs the canonical labeling (seed=$seed)") {
@@ -86,10 +95,7 @@ class PlantSpec extends SparkSpec {
       // the table holds the final labels of the top-eta hubs, all of which
       // outrank every root planted with it
       val eta = 16
-      val seq = SeqPLL.run(g, r).labeling
-      val hc  = new LabelBuffers(g.n, threadSafe = false)
-      for (v <- 0 until g.n; k <- seq.offsets(v) until seq.offsets(v + 1) if seq.hubPos(k) < eta)
-        hc.add(v, seq.hubPos(k), seq.hubDist(k))
+      val hc  = topHubTable(g, r, eta)
       val scratch = new DijkstraScratch(g.n)
       def plant(root: Int, table: LabelBuffers): (Seq[(Int, Long)], Long) = {
         val out = ArrayBuffer.empty[(Int, Long)]
@@ -106,6 +112,38 @@ class PlantSpec extends SparkSpec {
       }
       assert(exploredWith < exploredWithout, s"explored $exploredWith with the table, $exploredWithout without")
     }
+
+  // Drawn cases against the plain PLaNT of the test sources (binary heap,
+  // vertex-id ancestors, a settled flag): weights in [1, 3] make many
+  // equal-length paths, so the tie rule fires; each root is planted with no
+  // table and, below the top eta = 4 hubs, with their common table.
+  for (seed <- 1 to 8) {
+    val rnd = new scala.util.Random(seed)
+    val n   = 60 + rnd.nextInt(141)
+    val g   =
+      if (rnd.nextBoolean()) TestGraphs.randomSparse(n, 2 * n, maxW = 3, seed)
+      else TestGraphs.randomConnected(n, extra = n, maxW = 3, seed)
+    val rankBy = rnd.nextInt(3)
+    test(s"PlantTree settles, emits and stops like ReferencePlant (drawn case $seed: n=$n)") {
+      val r = rankBy match {
+        case 0 => Ranking.byDegree(g)
+        case 1 => Ranking.byApproxBetweenness(g, samples = 8, seed = seed)
+        case _ => TestUtil.randomRanking(g.n, seed)
+      }
+      val eta = 4
+      val hc  = topHubTable(g, r, eta)
+      val scratch = new DijkstraScratch(g.n)
+      for (p <- 0 until g.n; table <- Seq(null, hc) if table == null || p >= eta) {
+        val root = r.order(p)
+        val got, want = ArrayBuffer.empty[(Int, Long)]
+        val e1 = PlantTree.build(g, r, root, table, scratch, (v, d) => got += ((v, d)))
+        val e2 = ReferencePlant.build(g, r, root, table, (v, d) => want += ((v, d)))
+        val what = s"root $root at position $p, ${if (table == null) "no table" else "top-4 table"}"
+        assert(e1 == e2, what)
+        assert(got == want, what)
+      }
+    }
+  }
 
   test("batched planting matches single-batch planting") {
     val g = GraphGen.preferentialAttachment(70, 3, seed = 45)

@@ -34,6 +34,14 @@ class CsrGraphSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](CsrGraph.fromEdges(2, Seq((0, 1, -3))))
   }
 
+  test("the constructor rejects a non-positive weight or an out-of-range arc head") {
+    assertThrows[IllegalArgumentException](new CsrGraph(2, Array(0, 1, 2), Array(1, 0), Array(0, 0)))
+    assertThrows[IllegalArgumentException](new CsrGraph(2, Array(0, 1, 2), Array(1, 0), Array(1, -2)))
+    assertThrows[IllegalArgumentException](new CsrGraph(2, Array(0, 1, 2), Array(2, 0), Array(1, 1)))
+    assertThrows[IllegalArgumentException](new CsrGraph(2, Array(0, 1, 2), Array(1, -1), Array(1, 1)))
+    assert(new CsrGraph(2, Array(0, 1, 2), Array(1, 0), Array(3, 3)).maxWeight == 3)
+  }
+
   test("rejects out-of-range endpoints") {
     assertThrows[IllegalArgumentException](CsrGraph.fromEdges(2, Seq((0, 2, 1))))
   }
