@@ -1,6 +1,6 @@
 package repro.dist
 
-import org.apache.spark.broadcast.Broadcast
+import scala.collection.mutable
 import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.graph.{CsrGraph, Ranking}
@@ -13,8 +13,10 @@ import repro.graph.{CsrGraph, Ranking}
   * generated in the superstep are broadcast to all nodes (metered), every
   * node answers the cleaning queries it can decide — a witness hub's
   * labels for both endpoints live on the hub's owner — and the redundancy
-  * bitvectors are OR-allreduced. The supersteps are [[Hybrid.build]]'s
-  * DGLL phase, started at the first root.
+  * bitvectors are OR-allreduced. Each superstep is one Spark job: the
+  * cleaning of superstep `s` runs in the job that builds `s + 1` ([[node]]),
+  * and one final job cleans the last. The supersteps are
+  * [[Hybrid.build]]'s DGLL phase, started at the first root.
   */
 object DGLL {
 
@@ -41,41 +43,44 @@ object DGLL {
     (0 until steps).map(k => math.max(1, math.round(s0 * math.pow(beta.toDouble, k.toDouble)).toInt))
   }
 
-  /** Distributed cleaning (§5.1) of a superstep's candidates `cand`, the
-    * nodes' blocks merged into one CSR: broadcast it; each node marks the
-    * candidates it can prove redundant using witness hubs *it owns* (their
-    * labels for both endpoints live here), vertex by vertex
-    * ([[Cleaning.markVertex]]); OR-allreduce the bitvectors, as the CSR
-    * indices each node marked. Witnesses lie in `prior` and the candidates
-    * only: were an earlier superstep's hub `w` one for `(v, h, δ)`, `w`
-    * would be in `global(h)` and `global(v)`, and `h`'s tree would not have
-    * emitted `v` at `δ`. Returns the marks, by CSR index.
+  /** Node `pid`'s part of the DGLL round that builds superstep `s + 1` and
+    * cleans superstep `s` (§5.1; DESIGN.md §4 gives the order). `prev` is
+    * `s`'s candidates, the nodes' blocks merged into one CSR, and null in
+    * the first superstep and in DparaPLL. The node indexes its planted
+    * block `prior` once per round and adds the candidates of `s` whose hub
+    * it owns. With these witnesses (their labels for both endpoints live
+    * here) it marks the candidates of `s` it can prove redundant, vertex by
+    * vertex ([[Cleaning.markVertex]]). Witnesses lie in `prior` and the
+    * candidates of `s` only: were a hub `w` of an earlier superstep one for
+    * `(v, h, δ)`, `w`'s labels for `h` and `v` would be in `global`, as
+    * survivors or as uncleaned candidates of `s − 1`, and `h`'s tree, which
+    * consulted it, would not have emitted `v` at `δ`.
+    *
+    * The node's trees of `s + 1` then prune with `global`, which holds the
+    * survivors through `s − 1` and every candidate of `s`, uncleaned; its
+    * own table, which they grow; and the Common Label Table `hc` (null if
+    * none). An uncleaned candidate is still the length of a real path
+    * through a hub that outranks the root, so pruning with it drops only
+    * non-canonical labels, as GLL's trees prune with their superstep's
+    * uncleaned local table. The final cleaning round builds no tree and
+    * passes a null `global`.
+    *
+    * @return the CSR indices of `prev` the node marked, and its trees
     */
-  private[dist] def cleanCandidates(
-      spark: SparkSession,
-      bcPrior: Broadcast[Array[NodeLabels]],
-      cand: Labeling,
-      q: Int,
-  ): Array[Boolean] = {
-    val sc     = spark.sparkContext
-    val bcCand = sc.broadcast(cand)
-    val marked = sc.parallelize(0 until q, q)
-      .mapPartitionsWithIndex { (pid, _) =>
-        val c = bcCand.value
-        // per-vertex lists of this node's witnesses: its prior labels, then
-        // this superstep's candidates whose hub it owns
-        val lab = NodeLabels.merge(Array(bcPrior.value(pid)), c.n)
-        for (v <- 0 until c.n; k <- c.offsets(v) until c.offsets(v + 1) if c.hubPos(k) % q == pid)
-          lab.add(v, c.hubPos(k), c.hubDist(k))
-        val scratch = new DijkstraScratch(c.n)
-        val ix = new scala.collection.mutable.ArrayBuilder.ofInt
-        for (v <- 0 until c.n) Cleaning.markVertex(v, c, lab, scratch, ix)
-        Iterator.single(ix.result())
-      }
-      .collect()
-    bcCand.destroy()
-    val marks = new Array[Boolean](cand.hubPos.length)
-    for (node <- marked; k <- node) marks(k) = true
-    marks
+  private[dist] def node(g: CsrGraph, rank: Ranking, q: Int, pid: Int, prior: NodeLabels, prev: Labeling,
+                         global: LabelBuffers, hc: LabelBuffers,
+                         rankQueries: Boolean): (Array[Int], SimCluster.Trees) = {
+    val n       = g.n
+    val own     = NodeLabels.merge(Array(prior), n)
+    val scratch = new DijkstraScratch(n)
+    val marked  = new mutable.ArrayBuilder.ofInt
+    if (prev != null) {
+      for (v <- 0 until n; k <- prev.offsets(v) until prev.offsets(v + 1) if prev.hubPos(k) % q == pid)
+        own.add(v, prev.hubPos(k), prev.hubDist(k))
+      for (v <- 0 until n) Cleaning.markVertex(v, prev, own, scratch, marked)
+    }
+    val tables  = if (hc != null) Array(global, own, hc) else Array(global, own)
+    (marked.result(), (p, sink) => PrunedDijkstra.buildTree(g, rank, rank.order(p), tables, rankQueries, scratch,
+      sink = (v, d) => { own.add(v, p, d); sink(v, d) }))
   }
 }

@@ -17,7 +17,9 @@ import repro.graph.{CsrGraph, Ranking}
   * vertices-explored / labels-generated; once Ψ exceeds `psiTh` the run
   * switches to DGLL supersteps (phase 2, §5.1), which prune with rank
   * queries + the common table + post-switch exchanged labels, and clean
-  * against the superstep's candidates and the pre-switch PLaNT blocks.
+  * against the superstep's candidates and the pre-switch PLaNT blocks,
+  * each superstep in the job that builds the next, the last in a final
+  * cleaning job.
   *
   * PLaNT ([[Plant.run]]) is a Hybrid that never switches (`psiTh = ∞,
   * eta = 0`), DGLL ([[DGLL.run]]) and DparaPLL one that starts in phase 2.
@@ -73,11 +75,11 @@ object Hybrid {
       val b = math.min(n, a + batch)
       pos = b
       val hcNow = bcHc
-      val (fresh, exploredBy) = SimCluster.round(sc, q, a, b) { _ =>
+      val (fresh, exploredBy, _) = SimCluster.round(sc, q, a, b) { _ =>
         val gg = bcGraph.value; val rk = bcRank.value
         val hct = if (hcNow != null) hcNow.value else null
         val scratch = new DijkstraScratch(gg.n)
-        (p, sink) => PlantTree.build(gg, rk, rk.order(p), hct, scratch, sink)
+        (Array.emptyIntArray, (p, sink) => PlantTree.build(gg, rk, rk.order(p), hct, scratch, sink))
       }
       batches += fresh
       val labels = fresh.map(_.size.toLong).sum
@@ -103,53 +105,72 @@ object Hybrid {
     // The DGLL phase, over the roots [pos, n). `global` holds its labels
     // once; every node receives them to prune with. The planted blocks were
     // never exchanged: node i indexes only its own, `bcPrior.value(i)`, into
-    // its table each superstep (the array is broadcast once: simulation
-    // plumbing, not metered). Each superstep's roots rank below all earlier
-    // ones, so committing appends to lists sorted by hub position. The driver
-    // appends only after the superstep's jobs and `bcGlobal.destroy()`, so no
-    // task reads `global` while it grows (in local mode tasks share the
-    // driver's instance).
+    // its table each round (the array is broadcast once: simulation
+    // plumbing, not metered). After a superstep's round the driver appends
+    // all of its candidates to `global`; the round of the next superstep
+    // marks them, and the driver then drops the marked ones from the tails
+    // of the lists. A last round over no roots cleans the final superstep;
+    // DparaPLL, which does not clean, keeps every candidate. Each
+    // superstep's roots rank below all earlier ones, so appending keeps each
+    // list sorted by hub position. The driver changes `global` only after a
+    // round's job and `bcGlobal.destroy()`, so no task reads it while it
+    // changes (in local mode tasks share the driver's instance).
     val global = new LabelBuffers(n, threadSafe = false)
     if (pos < n) {
       val bcPrior = sc.broadcast(blocks)
       val hcNow   = bcHc
       val sizes   = DGLL.superstepSizes(n - pos, beta).iterator
-      while (pos < n) {
-        val size = if (sizes.hasNext) sizes.next() else n - pos
+      // the last superstep's candidates as one CSR, each vertex's hubs
+      // ascending; the tail of each list of `global` until the next round
+      // has cleaned them
+      var prev: Labeling = null
+      while (pos < n || prev != null) {
         val a = pos
-        val b = math.min(n, a + size)
-        pos = b
+        // after the last superstep, a round over no roots only cleans
+        if (pos < n) pos = math.min(n, a + (if (sizes.hasNext) sizes.next() else n - a))
+        val b = pos
 
-        val bcGlobal = sc.broadcast(global)
+        // the final round builds no tree, and ships no `global`
+        val bcGlobal = if (a < b) sc.broadcast(global) else null
+        val bcPrev   = if (prev != null) sc.broadcast(prev) else null
         // candidates(i): the labels node i generated, in root order; the
-        // collect is the superstep's label exchange (metered below)
-        val (candidates, exploredBy) = SimCluster.round(sc, q, a, b) { pid =>
-          val gg = bcGraph.value; val rk = bcRank.value
-          // grown by this superstep's trees, whose roots rank below the block's
-          val own = NodeLabels.merge(Array(bcPrior.value(pid)), gg.n)
-          val tables =
-            if (hcNow != null) Array(bcGlobal.value, own, hcNow.value) else Array(bcGlobal.value, own)
-          val scratch = new DijkstraScratch(gg.n)
-          (p, sink) => PrunedDijkstra.buildTree(gg, rk, rk.order(p), tables, rankQueries = !paraPLL,
-            scratch, sink = (v, d) => { own.add(v, p, d); sink(v, d) })
+        // collect is the superstep's label exchange (metered below), and of
+        // the marks, the previous superstep's bitvector allreduce
+        val (candidates, exploredBy, marked) = SimCluster.round(sc, q, a, b) { pid =>
+          DGLL.node(bcGraph.value, bcRank.value, q, pid, bcPrior.value(pid),
+            if (bcPrev != null) bcPrev.value else null, if (bcGlobal != null) bcGlobal.value else null,
+            if (hcNow != null) hcNow.value else null, rankQueries = !paraPLL)
         }
-        bcGlobal.destroy()
-        val labels = candidates.map(_.size.toLong).sum
-        labelsGenerated += labels
-        explored += exploredBy.sum
-        // the exchange: every node receives the labels it did not generate,
-        // and cleaning moves two bitvectors per node
-        bytesBroadcast += labels * replicaBytes
-        if (!paraPLL) bytesAllReduce += (labels + 7) / 8 * 2 * q
-        syncs += 1
+        if (bcGlobal != null) bcGlobal.destroy()
+        if (prev != null) {
+          bcPrev.destroy()
+          val marks = new Array[Boolean](prev.hubPos.length)
+          for (node <- marked; k <- node) marks(k) = true
+          for (v <- 0 until n) {
+            val lv = global.bufs(v)
+            var j  = lv.size - (prev.offsets(v + 1) - prev.offsets(v))
+            for (k <- prev.offsets(v) until prev.offsets(v + 1))
+              if (marks(k)) redundantRemoved += 1
+              else { lv.hubs(j) = prev.hubPos(k); lv.dists(j) = prev.hubDist(k); j += 1 }
+            lv.size = j
+          }
+          prev = null
+        }
 
-        // the candidates as one CSR: each vertex's hubs ascend, below every
-        // hub in `global`, so a commit in CSR order keeps `global` sorted
-        val cand  = NodeLabels.merge(candidates, n).toLabeling(rank)
-        val marks = if (paraPLL || labels == 0) null else DGLL.cleanCandidates(spark, bcPrior, cand, q)
-        for (v <- 0 until n; k <- cand.offsets(v) until cand.offsets(v + 1))
-          if (marks != null && marks(k)) redundantRemoved += 1
-          else global.add(v, cand.hubPos(k), cand.hubDist(k))
+        if (a < b) {
+          val labels = candidates.map(_.size.toLong).sum
+          labelsGenerated += labels
+          explored += exploredBy.sum
+          // the exchange: every node receives the labels it did not generate,
+          // and cleaning moves two bitvectors per node
+          bytesBroadcast += labels * replicaBytes
+          if (!paraPLL) bytesAllReduce += (labels + 7) / 8 * 2 * q
+          syncs += 1
+          val cand = NodeLabels.merge(candidates, n).toLabeling(rank)
+          for (v <- 0 until n; k <- cand.offsets(v) until cand.offsets(v + 1))
+            global.add(v, cand.hubPos(k), cand.hubDist(k))
+          if (!paraPLL) prev = cand
+        }
       }
       bcPrior.destroy()
     }

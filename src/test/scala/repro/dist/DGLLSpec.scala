@@ -1,7 +1,7 @@
 package repro.dist
 
 import repro.{SparkSpec, TestUtil}
-import repro.core.{DijkstraScratch, PrunedDijkstra, SeqPLL}
+import repro.core.{DijkstraScratch, LabelBuffers, Labeling, SeqPLL}
 import repro.graph.{GraphGen, Ranking, TestGraphs}
 import repro.TestUtil._
 
@@ -69,21 +69,34 @@ class DGLLSpec extends SparkSpec {
       // switch 0 is DGLL's first superstep; at 24 a Hybrid has planted the
       // roots before it, and node i cleans with the block it planted
       for (switch <- Seq(0, 24)) {
-        val (prior, _) = SimCluster.round(sc, q, 0, switch) { _ =>
+        val (prior, _, _) = SimCluster.round(sc, q, 0, switch) { _ =>
           val scratch = new DijkstraScratch(n)
-          (p, sink) => PlantTree.build(g, r, r.order(p), null, scratch, sink)
+          (Array.emptyIntArray, (p, sink) => PlantTree.build(g, r, r.order(p), null, scratch, sink))
         }
-        // one superstep over the roots left, pruned as Hybrid prunes its first
-        val (candidates, _) = SimCluster.round(sc, q, switch, n) { pid =>
-          val own     = NodeLabels.merge(Array(prior(pid)), n)
-          val scratch = new DijkstraScratch(n)
-          (p, sink) => PrunedDijkstra.buildTree(g, r, r.order(p), Array(own), rankQueries = true, scratch,
-            sink = (v, d) => { own.add(v, p, d); sink(v, d) })
+        // DGLL rounds as Hybrid runs them after its switch
+        val global = new LabelBuffers(n, threadSafe = false)
+        def round(a: Int, b: Int, prev: Labeling) = SimCluster.round(sc, q, a, b) { pid =>
+          DGLL.node(g, r, q, pid, prior(pid), prev, global, null, rankQueries = true)
         }
-        val cand    = NodeLabels.merge(candidates, n).toLabeling(r)
-        val bcPrior = sc.broadcast(prior)
-        val marks   = DGLL.cleanCandidates(spark, bcPrior, cand, q)
-        bcPrior.destroy()
+        def or(byNode: Array[Array[Int]], size: Long): Array[Boolean] = {
+          val marks = new Array[Boolean](size.toInt)
+          for (node <- byNode; k <- node) marks(k) = true
+          marks
+        }
+        val mid = switch + (n - switch) / 3
+        val (candidates, _, none) = round(switch, mid, null)
+        assert(none.forall(_.isEmpty), "the first superstep has nothing to clean")
+        val cand = NodeLabels.merge(candidates, n).toLabeling(r)
+        for (v <- 0 until n; k <- cand.offsets(v) until cand.offsets(v + 1))
+          global.add(v, cand.hubPos(k), cand.hubDist(k))
+        // the round of the next superstep cleans this one, as does a final
+        // round over no roots
+        val (next, _, byNode) = round(mid, n, cand)
+        assert(next.map(_.size).sum > 0)
+        val marks = or(byNode, cand.labelCount)
+        val (none2, _, finalByNode) = round(n, n, cand)
+        assert(none2.forall(_.size == 0))
+        assert(or(finalByNode, cand.labelCount).sameElements(marks), s"switch $switch: final round")
         // every witness in one place: each node's planted block and every candidate
         val lists = Array.fill(n)(scala.collection.mutable.Map.empty[Int, Long])
         for (b <- prior ++ candidates; i <- 0 until b.size) lists(b.v(i))(b.h(i)) = b.d(i)
@@ -92,7 +105,6 @@ class DGLLSpec extends SparkSpec {
           val brute = lists(v).exists { case (w, dv) => w < h && lh.get(w).exists(dv + _ <= delta) }
           assert(marks(k) == brute, s"switch $switch: label $k = ($v, $h, $delta)")
         }
-        assert(marks.length == cand.labelCount)
         marked += marks.count(identity)
       }
       // one node's trees prune with every label before them, as seqPLL's do

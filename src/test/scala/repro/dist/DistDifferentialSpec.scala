@@ -53,9 +53,56 @@ class DistDifferentialSpec extends SparkSpec {
       }
       val chl = SeqPLL.run(g, r).labeling
       TestUtil.assertSameLabels(chl, Plant.run(spark, g, r, q)._1, "PLaNT")
-      TestUtil.assertSameLabels(chl, Hybrid.run(spark, g, r, q, psiTh, eta)._1, s"Hybrid psiTh=$psiTh")
-      TestUtil.assertSameLabels(chl, DGLL.run(spark, g, r, q, beta)._1, "DGLL")
+      val (hl, hs) = Hybrid.run(spark, g, r, q, psiTh, eta)
+      TestUtil.assertSameLabels(chl, hl, s"Hybrid psiTh=$psiTh")
+      assertEachLabelCountedOnce(hs, "Hybrid")
+      val (dl, ds) = DGLL.run(spark, g, r, q, beta)
+      TestUtil.assertSameLabels(chl, dl, "DGLL")
+      assertEachLabelCountedOnce(ds, "DGLL")
     }
+  }
+
+  // No superstep is dropped or committed twice: every label generated is
+  // either kept or removed as redundant, once.
+  private def assertEachLabelCountedOnce(s: DistStats, what: String): Unit =
+    assert(s.labelsGenerated == s.labelsFinal + s.redundantRemoved,
+      s"$what: ${s.labelsGenerated} generated, ${s.labelsFinal} kept, ${s.redundantRemoved} removed")
+
+  test("DGLL equals SeqPLL in a single superstep, with more nodes than vertices") {
+    val g = TestGraphs.randomConnected(7, extra = 4, maxW = 5, seed = 92)
+    val r = Ranking.byDegree(g)
+    val (l, s) = DGLL.run(spark, g, r, q = 10, beta = 8)
+    assert(s.syncs == 1)
+    TestUtil.assertSameLabels(SeqPLL.run(g, r).labeling, l, "DGLL")
+    assertEachLabelCountedOnce(s, "DGLL")
+  }
+
+  test("Hybrid equals SeqPLL when its switch leaves exactly one root") {
+    // q = 3 and eta = 16 make the first batch 16 roots; psiTh = 0 switches
+    // after it, before the last root
+    val g = TestGraphs.randomConnected(17, extra = 12, maxW = 5, seed = 93)
+    val r = Ranking.byDegree(g)
+    val (l, s) = Hybrid.run(spark, g, r, q = 3, psiTh = 0.0, eta = 16)
+    assert(s.switchPos == g.n - 1 && s.syncs == 1, s"switch ${s.switchPos}, ${s.syncs} supersteps")
+    TestUtil.assertSameLabels(SeqPLL.run(g, r).labeling, l, "Hybrid")
+    assertEachLabelCountedOnce(s, "Hybrid")
+  }
+
+  // A superstep's root always labels itself, so a round without labels is
+  // the final cleaning round, or a node without a root in the superstep: at
+  // q = 16 and beta = 2 most nodes have none in the early supersteps.
+  test("DGLL and Hybrid equal SeqPLL when most nodes generate no labels in a superstep") {
+    val g   = GraphGen.preferentialAttachment(200, 2, seed = 94)
+    val r   = Ranking.byDegree(g)
+    val chl = SeqPLL.run(g, r).labeling
+    val (dl, ds) = DGLL.run(spark, g, r, q = 16, beta = 2)
+    assert(ds.syncs >= 4)
+    TestUtil.assertSameLabels(chl, dl, "DGLL")
+    assertEachLabelCountedOnce(ds, "DGLL")
+    val (hl, hs) = Hybrid.build(spark, g, r, q = 16, psiTh = 0.0, beta = 2)
+    assert(hs.switchPos > 0 && hs.syncs >= 2, s"switch ${hs.switchPos}, ${hs.syncs} supersteps")
+    TestUtil.assertSameLabels(chl, hl, "Hybrid")
+    assertEachLabelCountedOnce(hs, "Hybrid")
   }
 }
 

@@ -84,6 +84,45 @@ class HybridSpec extends SparkSpec {
     oneJobOfQTasks("plant")(Plant.run(spark, g, r, q))
   }
 
+  // Each DGLL superstep is one job, which also cleans the superstep before
+  // it, and one final job cleans the last; DparaPLL does not clean.
+  test("a DGLL phase runs one job per superstep and one final cleaning job, each of q tasks") {
+    val g = GraphGen.preferentialAttachment(300, 3, seed = 69)
+    val r = Ranking.byDegree(g)
+    val q = 4
+    def jobs(name: String)(call: => DistStats): (Int, DistStats) = {
+      var stats: DistStats = null
+      val j = jobsOf(s"$name-q$q") { stats = call }
+      assert(j.tasks.get == j.jobStages.size * q, s"$name: ${j.tasks.get} tasks in ${j.jobStages.size} jobs")
+      (j.jobStages.size, stats)
+    }
+    val (dgll, ds) = jobs("dgll")(DGLL.run(spark, g, r, q)._2)
+    assert(ds.syncs >= 2 && dgll == ds.syncs + 1, s"DGLL: $dgll jobs for ${ds.syncs} supersteps")
+    val (para, ps) = jobs("dparapll")(DGLL.runParaPLL(spark, g, r, q)._2)
+    assert(ps.syncs >= 2 && para == ps.syncs, s"DparaPLL: $para jobs for ${ps.syncs} supersteps")
+    val eta = 16
+    val (hybrid, hs) = jobs("hybrid")(Hybrid.run(spark, g, r, q, psiTh = 0.0, eta = eta)._2)
+    // a batch holds max(4q, n/16, η) roots
+    val batch = math.max(math.max(4 * q, g.n / 16), eta)
+    val batches = (hs.switchPos + batch - 1) / batch
+    assert(hs.switchPos > 0 && hs.syncs >= 2 && hybrid == batches + hs.syncs + 1,
+      s"Hybrid: $hybrid jobs for $batches batches and ${hs.syncs} supersteps")
+  }
+
+  test("on skit-lite at q = 16, DGLL runs 5 jobs and Hybrid 9") {
+    val ds = repro.harness.Datasets.byName("skit-lite")
+    val g  = ds.graph()
+    val r  = ds.ranking(g)
+    val q  = 16
+    for ((name, expected, call) <- Seq[(String, Int, () => Any)](
+           ("dgll", 5, () => DGLL.run(spark, g, r, q, beta = 8)),
+           ("hybrid", 9, () => Hybrid.run(spark, g, r, q, psiTh = 100.0, eta = 16)))) {
+      val jobs = jobsOf(s"skit-$name-q$q")(call())
+      assert(jobs.jobStages.size == expected, s"$name: jobs ${jobs.jobStages}")
+      assert(jobs.tasks.get == expected * q, name)
+    }
+  }
+
   test("Hybrid and PLaNT reject a node count q below 1") {
     val g = GraphGen.grid(4, 4)
     val r = Ranking.byDegree(g)

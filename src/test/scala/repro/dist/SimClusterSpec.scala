@@ -12,11 +12,12 @@ class SimClusterSpec extends SparkSpec {
     // nodes, so nodes 1 and 2 get none; [3, 3) holds no root
     for ((a, b) <- Seq((0, 12), (5, 19), (7, 9), (3, 3))) {
       // each tree emits one label (vertex = its node, distance = its root)
-      // and explores 10 vertices
-      val (blocks, explored) = SimCluster.round(spark.sparkContext, q, a, b) { pid =>
-        (p, sink) => { sink(pid, p.toLong); 10L }
+      // and explores 10 vertices; each node marks its own id
+      val (blocks, explored, marked) = SimCluster.round(spark.sparkContext, q, a, b) { pid =>
+        (Array(pid), (p, sink) => { sink(pid, p.toLong); 10L })
       }
       assert(blocks.length == q && explored.length == q)
+      assert(marked.map(_.toSeq).toSeq == (0 until q).map(Seq(_)), s"[$a, $b) marks")
       for (i <- 0 until q) {
         val nl    = blocks(i)
         val roots = (a until b).filter(_ % q == i)
